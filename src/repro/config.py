@@ -1,7 +1,7 @@
 """Analysis configuration.
 
 One dataclass collects every knob of the synthesis pipeline so that the
-benchmark harness and ablation benches can sweep them.
+benchmark harness can sweep them.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class AnalysisConfig:
         either way (LP optima are unique).
     widening_delay / narrowing_passes:
         Invariant-engine tuning.
-    template_includes_params_only:
-        When True, templates at the initial/terminal location still use
-        all variables; no restriction is applied.  (Reserved for
-        experimentation; default False means full templates everywhere.)
     check_certificates:
         Re-verify synthesized certificates (empirical run-based check).
     check_tolerance:

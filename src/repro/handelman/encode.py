@@ -4,10 +4,11 @@ Each :class:`ImplicationConstraint` ``⋀ aff_i >= 0 ⇒ poly >= 0`` becomes
 
     poly(x)  ==  Σ_{g ∈ Prod_K(Aff)} c_g · g(x),   c_g >= 0
 
-as a polynomial identity: for every monomial, the (template-linear)
-coefficient on the left equals the linear combination of the products'
-coefficients on the right.  All generated constraints are linear in the
-template symbols and the fresh ``c_g``, so the result is an LP.
+as a polynomial identity: one equality per monomial of ``poly − Σ c_g·g``,
+linear in the template symbols and the fresh ``c_g``.  One pass builds
+it: rows seeded with ``poly``'s coefficients take ``−coeff·c_g`` for each
+term of each product, and each nonzero row is added once as an
+:class:`AffineExpr`, so the cost is linear in the number of product terms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from repro.handelman.products import generate_products
 from repro.lp.model import LPModel
 from repro.poly.linexpr import AffineExpr
-from repro.poly.monomial import Monomial
 from repro.poly.template import TemplatePolynomial
 from repro.ts.guards import LinIneq
 from repro.utils.naming import FreshNameGenerator
@@ -55,7 +55,8 @@ def encode_implication(constraint: ImplicationConstraint, model: LPModel,
     affine_polys = [ineq.expr.to_polynomial() for ineq in constraint.premise]
     products = generate_products(affine_polys, max_factors)
 
-    combination = TemplatePolynomial.zero()
+    rows = {mono: (dict(expr.coefficients()), expr.constant_term)
+            for mono, expr in constraint.consequent.terms()}
     for product in products:
         multiplier = fresh.fresh(f"c[{constraint.name}]")
         model.add_variable(multiplier, lower=0)
@@ -67,13 +68,13 @@ def encode_implication(constraint: ImplicationConstraint, model: LPModel,
         largest = max(abs(coeff) for _, coeff in product.terms())
         if largest > 1:
             product = product.scale(1 / largest)
-        combination = combination + TemplatePolynomial.from_symbol(
-            multiplier
-        ).multiply_polynomial(product)
+        for mono, coeff in product.terms():
+            coeffs = rows.setdefault(mono, ({}, 0))[0]
+            coeffs[multiplier] = coeffs.get(multiplier, 0) - coeff
 
-    difference = constraint.consequent - combination
-    monomials: list[Monomial] = difference.monomials()
+    monomials = [mono for mono in sorted(rows)
+                 if rows[mono][1] or any(rows[mono][0].values())]
     for mono in monomials:
-        coefficient: AffineExpr = difference.coefficient(mono)
-        model.add_equality(coefficient, name=f"{constraint.name}:{mono}")
+        model.add_equality(AffineExpr(*rows[mono]),
+                           name=f"{constraint.name}:{mono}")
     return EncodingStats(products=len(products), monomials=len(monomials))

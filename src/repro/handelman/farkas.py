@@ -3,8 +3,8 @@
 When the consequent is affine (template degree 1), products of more than
 one premise inequality can never help match monomials of degree ≥ 2
 unless they cancel; the classical Farkas encoding (``K = 1``) is then
-complete over nonempty polyhedra.  Exposed separately for the ablation
-benchmark comparing ``K`` values and for tests.
+complete over nonempty polyhedra.  Exposed as the named ``K = 1`` case
+of :func:`~repro.handelman.encode.encode_implication`.
 """
 
 from __future__ import annotations

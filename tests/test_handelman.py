@@ -1,17 +1,24 @@
 """Unit and property tests for the Handelman encoding."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.suite import load_pair
+from repro.config import AnalysisConfig
+from repro.core.diffcost import DiffCostAnalyzer
 from repro.handelman import (
     ImplicationConstraint,
     encode_affine_implication,
     encode_implication,
     generate_products,
 )
+from repro.handelman.encode import EncodingStats
 from repro.lp import ExactSimplexBackend, LPModel, LPStatus, ScipyBackend
+from repro.poly.linexpr import AffineExpr
+from repro.poly.monomial import monomials_up_to_degree
 from repro.poly.polynomial import Polynomial
 from repro.poly.template import TemplatePolynomial
 from repro.ts.guards import LinIneq, box
@@ -145,3 +152,109 @@ def test_certified_combinations_are_pointwise_sound(rows, max_factors):
             if all(p.holds(point) for p in premise):
                 for product in products:
                     assert product.evaluate(point) >= 0
+
+
+def reference_encode(constraint, model, fresh, max_factors):
+    """Reference encoder: ``consequent − Σ c_g·ĝ`` summed as
+    :class:`TemplatePolynomial` objects (``ĝ`` is ``g`` scaled to unit
+    max-coefficient), then one equality per monomial."""
+    products = generate_products(
+        [ineq.expr.to_polynomial() for ineq in constraint.premise],
+        max_factors,
+    )
+    combination = TemplatePolynomial.zero()
+    for product in products:
+        multiplier = fresh.fresh(f"c[{constraint.name}]")
+        model.add_variable(multiplier, lower=0)
+        largest = max(abs(coeff) for _, coeff in product.terms())
+        if largest > 1:
+            product = product.scale(1 / largest)
+        combination = combination + TemplatePolynomial.from_symbol(
+            multiplier
+        ).multiply_polynomial(product)
+    difference = constraint.consequent - combination
+    for mono in difference.monomials():
+        model.add_equality(difference.coefficient(mono),
+                           name=f"{constraint.name}:{mono}")
+    return EncodingStats(products=len(products),
+                         monomials=len(difference.monomials()))
+
+
+def model_contents(model):
+    """Everything an LP backend reads from ``model``, comparable by ``==``."""
+    return ([(name, model.bounds(name)) for name in model.variable_names],
+            model.constraints, model.objective)
+
+
+def assert_same_encoding(constraints, max_factors):
+    """Both encoders build equal models and stats, constraint by constraint."""
+    encoded = []
+    for encode in (encode_implication, reference_encode):
+        model, fresh = LPModel(), FreshNameGenerator()
+        stats = [encode(c, model, fresh, max_factors) for c in constraints]
+        encoded.append((model_contents(model), stats))
+    assert encoded[0] == encoded[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-5, 5)), max_size=4),
+       st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=6, max_size=6),
+       st.integers(1, 3))
+def test_encoding_matches_reference(rows, duplicate, zero, coefficients,
+                                    max_factors):
+    """Premise rows may repeat, vanish or carry coefficients > 1 (which
+    the unit max-coefficient normalisation rescales); the consequent is
+    symbolic with constants."""
+    rows = rows + rows[:1] * duplicate + [(0, 0, 0)] * zero
+    premise = tuple(LinIneq(AffineExpr({"x": a, "y": b}, c))
+                    for a, b, c in rows)
+    monomials = monomials_up_to_degree(["x", "y"], 2)
+    consequent = TemplatePolynomial({
+        mono: AffineExpr({f"u{index}": symbolic, "t": int(index == 0)},
+                         constant)
+        for index, (mono, (symbolic, constant))
+        in enumerate(zip(monomials, coefficients))
+    })
+    constraint = ImplicationConstraint(premise, consequent, name="p")
+    assert_same_encoding([constraint], max_factors)
+
+
+@functools.cache
+def pair_implications(name):
+    """The implications of Table 1 pair ``name`` at d = 2, K = 3."""
+    old, new = load_pair(name)
+    analyzer = DiffCostAnalyzer(old, new,
+                                AnalysisConfig(degree=2, max_products=3))
+    bound = TemplatePolynomial.from_symbol("t")
+    return analyzer.build_constraints(bound)[2]
+
+
+@pytest.mark.parametrize("name", ["dis2", "join"])
+def test_encoding_matches_reference_on_pairs(name):
+    assert_same_encoding(pair_implications(name), max_factors=3)
+
+
+def test_encoding_builds_one_affine_expr_per_row(monkeypatch):
+    """A count, not a clock: summing products as polynomials rebuilds
+    every coefficient once per product, about products × monomials."""
+    constraint = max(pair_implications("join"),
+                     key=lambda c: len(c.premise))
+    built = 0
+    init = AffineExpr.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineExpr, "__init__", counting_init)
+    stats = encode_implication(constraint, LPModel(), FreshNameGenerator(),
+                               max_factors=3)
+    assert stats.products > 300
+    assert built <= stats.monomials
+    built = 0
+    reference_encode(constraint, LPModel(), FreshNameGenerator(), 3)
+    assert built > stats.products
