@@ -174,14 +174,13 @@ def run_suite(names: list[str] | None = None,
               jobs: int = 1,
               timeout: float | None = None,
               cache_dir: str | None = None,
-              cache_backend: str = "dir",
               max_retries: int = 2,
               hang_timeout: float | None = None) -> list[BenchmarkOutcome]:
     """Run the whole suite (or a named subset) through the engine.
 
-    ``jobs``, ``timeout``, ``cache_dir``, ``cache_backend``,
-    ``max_retries`` and ``hang_timeout`` configure the parallel
-    executor; the defaults reproduce the sequential in-process run.
+    ``jobs``, ``timeout``, ``cache_dir``, ``max_retries`` and
+    ``hang_timeout`` configure the parallel executor; the defaults
+    reproduce the sequential in-process run.
 
     An interrupt (SIGTERM / Ctrl-C) does not discard finished rows: it
     re-raises as :class:`SuiteInterrupted` carrying the outcomes of
@@ -196,8 +195,7 @@ def run_suite(names: list[str] | None = None,
         and (include_running_example
              or pair.group != "Fig. 1 running example")
     ]
-    cache = (ResultCache(cache_dir, backend=cache_backend)
-             if cache_dir else None)
+    cache = ResultCache(cache_dir) if cache_dir else None
     jobs_by_pair = [(pair, _suite_job(pair, lp_backend)) for pair in selected]
     recorded: dict[str, object] = {}
     # Context-managed so the long-lived worker pool is torn down when

@@ -18,7 +18,6 @@ Subcommands::
     repro-diffcost coord [--node URL ...] [--min-nodes N] [--batch DIR]
                          [--heartbeat-interval S] [--steal-after S]
     repro-diffcost cache {stats|compact|evict} [--cache-dir D]
-                         [--cache-backend dir|warm|auto]
     repro-diffcost perf [--names a,b,c] [--backends exact,exact-warm]
                         [--output BENCH_lp.json] [--baseline SNAPSHOT]
     repro-diffcost show PROGRAM.imp [--dot]
@@ -44,7 +43,7 @@ from repro.core import (
     prove_symbolic_bound,
     refute_threshold,
 )
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError
 from repro.lang import load_program
 from repro.lp.backend import available_backends
 from repro.poly import parse_polynomial
@@ -187,7 +186,6 @@ def _command_suite(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 timeout=args.timeout,
                 cache_dir=None if args.no_cache else args.cache_dir,
-                cache_backend=args.cache_backend,
                 max_retries=args.max_retries,
                 hang_timeout=args.hang_timeout,
             )
@@ -265,7 +263,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         cache_dir=None if args.no_cache else args.cache_dir,
-        cache_backend=args.cache_backend,
         max_retries=args.max_retries,
         hang_timeout=args.hang_timeout,
         # An explicit --portfolio-mode or --refute implies --portfolio:
@@ -310,8 +307,12 @@ def _command_merge_shards(args: argparse.Namespace) -> int:
             reports.append(json.load(handle))
     merged = merge_reports(reports)
     if args.cache_dir and args.source_caches:
-        copied = merge_caches(args.cache_dir, args.source_caches.split(","),
-                              backend=args.cache_backend)
+        try:
+            copied = merge_caches(args.cache_dir,
+                                  args.source_caches.split(","))
+        except AnalysisError as error:  # e.g. a mistyped source cache
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         print(f"merged {copied} cache entries into {args.cache_dir}",
               file=sys.stderr)
     rendered = (canonical_json(merged) if args.canonical
@@ -427,7 +428,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         job_timeout=args.timeout,
         cache_dir=None if args.no_cache else args.cache_dir,
-        cache_backend=args.cache_backend,
         max_queue=args.max_queue,
         drain_timeout=args.drain_timeout,
         max_retries=args.max_retries,
@@ -451,19 +451,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
                         help="persistent result cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
-    _add_cache_backend_argument(parser)
     _add_fault_tolerance_arguments(parser)
-
-
-def _add_cache_backend_argument(parser: argparse.ArgumentParser,
-                                default: str = "dir") -> None:
-    parser.add_argument("--cache-backend", choices=["dir", "warm", "auto"],
-                        default=default,
-                        help="cache storage tier: 'dir' = one JSON file "
-                             "per entry (legacy), 'warm' = compacted "
-                             "single-file append-log (migrates a legacy "
-                             "directory on open), 'auto' = warm iff a "
-                             f"warm.log exists (default {default})")
 
 
 def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
@@ -491,22 +479,31 @@ def _activate_faults(args: argparse.Namespace) -> None:
 
 def _command_cache(args: argparse.Namespace) -> int:
     import json
+    import os
 
     from repro.engine.cache import ResultCache
 
-    cache = ResultCache(args.cache_dir, backend=args.cache_backend)
+    if not os.path.isdir(args.cache_dir):
+        # Maintenance never creates a cache: a mistyped path must fail.
+        print(f"error: cache directory {args.cache_dir!r} does not exist",
+              file=sys.stderr)
+        return 1
+    cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
         print(json.dumps(cache.stats(), indent=2, sort_keys=True))
-        return 0
-    if args.cache_command == "compact":
-        summary = cache.compact()
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        # An aborted compaction published nothing — the old log is
-        # intact, but the caller's intent was not carried out.
-        return 1 if summary.get("aborted") else 0
-    evicted = cache.evict(max_age_s=args.max_age_s)
-    print(f"evicted {evicted} entries from {args.cache_dir}")
+    elif args.cache_command == "compact":
+        print(json.dumps(cache.compact(), indent=2, sort_keys=True))
+    else:
+        evicted = cache.evict(max_age_s=args.max_age_s)
+        print(f"evicted {evicted} entries from {args.cache_dir}")
     return 0
+
+
+def _age_seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
 def _command_witness(args: argparse.Namespace) -> int:
@@ -684,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--source-caches", default=None, metavar="A,B",
                        help="comma-separated shard cache directories "
                             "(with --cache-dir)")
-    _add_cache_backend_argument(merge, default="auto")
     merge.set_defaults(handler=_command_merge_shards)
 
     serve = subparsers.add_parser(
@@ -710,7 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent result cache directory")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the result cache")
-    _add_cache_backend_argument(serve)
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="requests allowed to queue for an analysis "
                             "slot before new ones are shed with 429 + "
@@ -805,26 +800,23 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help="inspect and maintain a result cache "
              "(stats / compact / evict)",
-        description="Operate on a persistent result cache directory. "
-                    "Opening a legacy per-entry directory with "
-                    "--cache-backend warm migrates it into the "
-                    "compacted warm append-log in place.",
+        description="Operate on an existing result cache directory "
+                    "(its store is cache.sqlite3; a directory of legacy "
+                    "<key>.json entry files is imported on first open).",
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for name, blurb in (
-        ("stats", "print cache statistics as JSON (warm backend: no "
-                  "per-entry directory scan)"),
-        ("compact", "rewrite the warm log, dropping tombstones, stale "
-                    "and superseded records (warm backend only)"),
+        ("stats", "print cache statistics as JSON"),
+        ("compact", "VACUUM the store, reclaiming the space of evicted "
+                    "and replaced entries"),
         ("evict", "remove entries older than the eviction age"),
     ):
         sub = cache_sub.add_parser(name, help=blurb)
         sub.add_argument("--cache-dir", default=".repro-cache",
                          help="result cache directory "
                               "(default .repro-cache)")
-        _add_cache_backend_argument(sub, default="auto")
         if name == "evict":
-            sub.add_argument("--max-age-s", type=float, default=None,
+            sub.add_argument("--max-age-s", type=_age_seconds, default=None,
                              metavar="S",
                              help="age bound in seconds (default: the "
                                   "cache's eviction_age_s, 7 days)")

@@ -98,11 +98,6 @@ class EngineConfig:
     cache_dir:
         Directory of the persistent result cache (``None`` disables
         caching).
-    cache_backend:
-        Disk tier of the result cache: ``"dir"`` (legacy one file per
-        entry), ``"warm"`` (single append-log with an index; opening
-        it migrates any legacy entries) or ``"auto"`` (warm when a
-        ``warm.log`` already exists).
     portfolio:
         Race each pair through the escalating configuration ladder
         instead of a single configuration.
@@ -152,7 +147,6 @@ class EngineConfig:
     jobs: int = 1
     timeout: float | None = None
     cache_dir: str | None = None
-    cache_backend: str = "dir"
     portfolio: bool = False
     portfolio_mode: str = "first"
     max_inflight_pairs: int | None = None
@@ -168,11 +162,6 @@ class EngineConfig:
             raise AnalysisError("jobs must be at least 1")
         if self.timeout is not None and self.timeout <= 0:
             raise AnalysisError("timeout must be positive (or None)")
-        if self.cache_backend not in ("dir", "warm", "auto"):
-            raise AnalysisError(
-                f"unknown cache_backend {self.cache_backend!r} "
-                "(use 'dir', 'warm' or 'auto')"
-            )
         if self.max_retries < 0:
             raise AnalysisError("max_retries must be >= 0")
         if self.hang_timeout is not None and self.hang_timeout <= 0:
@@ -225,9 +214,6 @@ class ServeConfig:
     cache_dir:
         Persistent result cache shared by all requests (``None``
         disables caching).
-    cache_backend:
-        Disk tier of the result cache — same semantics as
-        :attr:`EngineConfig.cache_backend`.
     max_queue:
         Admission control: when ``max_concurrent`` slots are all taken,
         at most this many further requests may queue for one; beyond
@@ -250,7 +236,6 @@ class ServeConfig:
     deadline: float | None = None
     job_timeout: float | None = None
     cache_dir: str | None = ".repro-cache"
-    cache_backend: str = "dir"
     max_queue: int = 64
     drain_timeout: float = 10.0
     max_retries: int = 2
@@ -258,11 +243,6 @@ class ServeConfig:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise AnalysisError("port must be in [0, 65535]")
-        if self.cache_backend not in ("dir", "warm", "auto"):
-            raise AnalysisError(
-                f"unknown cache_backend {self.cache_backend!r} "
-                "(use 'dir', 'warm' or 'auto')"
-            )
         if self.workers < 1:
             raise AnalysisError("workers must be at least 1")
         if self.max_concurrent < 1:

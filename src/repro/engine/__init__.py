@@ -11,7 +11,7 @@ The orchestration layer over the single-pair analyzers of
 - :mod:`repro.engine.executor` — process-pool execution with per-job
   timeouts and structured failure capture
   (:class:`ParallelExecutor`);
-- :mod:`repro.engine.cache` — the persistent JSON-on-disk result cache
+- :mod:`repro.engine.cache` — the persistent SQLite result cache
   (:class:`ResultCache`);
 - :mod:`repro.engine.portfolio` — racing an escalating configuration
   ladder per pair (:func:`run_portfolio`);

@@ -319,8 +319,7 @@ def run_batch(directory: str | Path,
     config = config or AnalysisConfig()
     if shard is None:
         shard = engine.shard
-    cache = (ResultCache(engine.cache_dir, backend=engine.cache_backend)
-             if engine.cache_dir else None)
+    cache = ResultCache(engine.cache_dir) if engine.cache_dir else None
     all_pairs = discover_pairs(directory)
     pairs = (shard_pairs(all_pairs, config, shard) if shard is not None
              else all_pairs)

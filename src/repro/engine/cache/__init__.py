@@ -1,74 +1,54 @@
-"""Tiered persistent result cache, keyed by content-addressed job hash.
+"""Persistent result cache, keyed by content-addressed job hash.
 
-Three tiers, one :class:`ResultCache` facade:
+Two tiers behind one :class:`ResultCache`: the in-process hot LRU of
+verified payloads (:mod:`repro.engine.cache.hot`), and one SQLite table
+in WAL mode, ``entries(key TEXT PRIMARY KEY, ts REAL, entry BLOB)`` in
+``<cache-dir>/cache.sqlite3``, holding each entry's
+:func:`~repro.engine.cache.entry.entry_json` bytes and write time.
+SQLite gives atomic commits (no torn or interleaved records),
+concurrent readers, O(1) open, ``len``/``stats``/``delta_since`` as
+queries, eviction as one ``DELETE`` and compaction as ``VACUUM``.
+``delta_since``/``apply_delta`` are the federation primitives
+(:mod:`repro.engine.cache.federation`).
 
-- **hot** (:mod:`repro.engine.cache.hot`): an in-process bounded LRU of
-  verified result payloads, so repeat lookups skip disk and JSON
-  parsing entirely.  Populated only by a disk-verified read.
-- **disk** — one of two backends:
+Trust never varies by path: lookup, merge and federation all apply
+:func:`~repro.engine.cache.entry.classify_entry`.  A schema-version
+mismatch or a pre-checksum entry is a plain miss (the next store
+rewrites it); damaged bytes are *quarantined* to ``<key>.corrupt`` and
+the row dropped, so corruption costs one re-execution; a transient
+SQLite error on a read is a plain miss that leaves the entry in place.
 
-  - ``"dir"`` (the legacy format, still the default): one JSON file per
-    entry, written atomically (temp file + rename).
-  - ``"warm"`` (:mod:`repro.engine.cache.warm`): a single append-log
-    with an in-memory index and a persisted sidecar — O(1) startup and
-    ``stats()``, compaction, age-bounded eviction.  Opening a warm
-    cache transparently migrates any legacy entry files into the log.
+Each process opens its own connection on first use: connections are
+closed around ``os.fork`` (see ``_HANDLES``) and reopened when
+``os.getpid()`` changes.  One lock serialises a handle across threads.
 
-  ``"auto"`` picks ``"warm"`` when a ``warm.log`` already exists.
-
-- **federation**: :meth:`ResultCache.delta_since` /
-  :meth:`ResultCache.apply_delta` exchange trusted entries between
-  caches over the serve/coord HTTP layer
-  (:mod:`repro.engine.cache.federation`), so a fleet converges to one
-  shared cache.
-
-Trust never varies by tier: every consumer applies
-:func:`~repro.engine.cache.entry.classify_entry`, so an entry ``get``
-would refuse to replay is never copied by a merge or shipped in a
-delta.  Entries carry the schema version, the job's canonical metadata
-and a SHA-256 checksum of the result payload; a version mismatch or a
-pre-checksum legacy entry is a plain miss (rewritten on the next
-store), while damaged bytes are *quarantined* to ``<key>.corrupt`` for
-post-mortems and treated as a miss instead of raising.  Transient I/O
-errors (EACCES, EMFILE, an NFS hiccup) are also a plain miss — the
-entry stays in place for the next, luckier reader.  Opening a cache
-sweeps ``.tmp-*`` files a killed writer left behind and ``*.corrupt``
-quarantine files past their forensic shelf life (both age-bounded, so
-live writers and fresh evidence are never raced).
-
-Repeated batch/suite runs therefore skip invariant generation,
-Handelman encoding and the LP solve entirely for unchanged (program
-pair, config) points — the cache key covers every
-:class:`~repro.config.AnalysisConfig` field, so any knob change
-invalidates exactly the affected entries.
+A directory of ``<key>.json`` entry files (the format before this
+store) is read, never written: its trusted entries are imported once
+when it is opened without a ``cache.sqlite3``, and
+:meth:`ResultCache.merge_from` reads such a source the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
+import sqlite3
+import threading
 import time
+import weakref
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.engine.cache.entry import (
-    ENTRY_CORRUPT,
     ENTRY_OK,
     ENTRY_STALE,
     build_entry,
     classify_entry,
     entry_json,
-    percentile,
     result_from_entry,
 )
 from repro.engine.cache.hot import DEFAULT_HOT_CAPACITY, HotTier
-from repro.engine.cache.warm import (
-    LOG_NAME as WARM_LOG_NAME,
-    WarmStore,
-    WarmStoreError,
-    read_log_records,
-)
 from repro.engine.jobs import AnalysisJob, JobResult
 from repro.errors import AnalysisError
 from repro.faults import active_plan, fault_point
@@ -86,818 +66,485 @@ CACHEABLE_STATUSES = ("ok",)
 #: :meth:`ResultCache.evict` removes when no explicit bound is given.
 DEFAULT_EVICTION_AGE_S = 7 * 24 * 3600.0
 
-#: ``.tmp-*`` files older than this are removed when a cache opens: a
-#: live writer holds its temp for milliseconds between ``mkstemp`` and
-#: ``os.replace``, so anything minutes old is the leavings of a killed
-#: process.  The generous margin keeps concurrent shard runs (which
-#: share a destination directory) un-raceable.
-DEFAULT_TEMP_SWEEP_AGE_S = 300.0
-
-#: ``*.corrupt`` quarantine files older than this are removed at open.
-#: Long enough that a post-mortem after a weekend incident still finds
-#: its evidence; bounded so quarantine can't grow without limit.
+#: ``*.corrupt`` quarantine files older than this are removed at open:
+#: a post-mortem after a weekend incident still finds its evidence, but
+#: quarantine cannot grow without limit.
 DEFAULT_CORRUPT_SWEEP_AGE_S = 7 * 24 * 3600.0
 
-#: Accepted ``backend=`` spellings.
-CACHE_BACKENDS = ("dir", "warm", "auto")
+#: The store's file inside a cache directory.
+DB_NAME = "cache.sqlite3"
+
+#: How long a statement waits for another connection's lock before
+#: failing with "database is locked".  Writes are short transactions;
+#: only a pile of concurrent merges or a ``VACUUM`` makes one wait long.
+BUSY_TIMEOUT_S = 60.0
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS entries"
+    " (key TEXT PRIMARY KEY, ts REAL, entry BLOB)",
+    "CREATE INDEX IF NOT EXISTS entries_ts ON entries (ts)",
+)
+
+#: The :meth:`ResultCache.stats` schema: counters, then age figures.
+_STAT_COUNTS = (
+    "hits", "misses", "corrupted", "io_errors", "corrupt_swept",
+    "corrupt_files", "merge_skipped", "evicted", "hot_hits",
+    "hot_entries", "hot_evictions", "entries", "total_bytes",
+    "eviction_candidates",
+)
+_STAT_AGES = ("oldest_age_s", "newest_age_s", "age_p50_s", "age_p90_s")
+
+#: Characters a federated key may never contain — keys name files.
+_UNSAFE_KEY_CHARS = set("/\\\0.")
 
 
 class ResultCache:
-    """Tiered on-disk cache of :class:`JobResult` payloads."""
+    """Persistent cache of :class:`JobResult` payloads: a verified-read
+    hot LRU in front of one SQLite table."""
 
     def __init__(self, directory: str | os.PathLike,
                  eviction_age_s: float = DEFAULT_EVICTION_AGE_S,
-                 temp_sweep_age_s: float = DEFAULT_TEMP_SWEEP_AGE_S,
-                 backend: str = "dir",
-                 hot_capacity: int = DEFAULT_HOT_CAPACITY,
-                 corrupt_sweep_age_s: float = DEFAULT_CORRUPT_SWEEP_AGE_S):
-        if backend not in CACHE_BACKENDS:
-            raise AnalysisError(
-                f"unknown cache backend {backend!r}; "
-                f"expected one of {', '.join(CACHE_BACKENDS)}"
-            )
+                 hot_capacity: int = DEFAULT_HOT_CAPACITY):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / DB_NAME
         self.eviction_age_s = eviction_age_s
-        self.temp_sweep_age_s = temp_sweep_age_s
-        self.corrupt_sweep_age_s = corrupt_sweep_age_s
-        if backend == "auto":
-            backend = "warm" if (self.directory / WARM_LOG_NAME).exists() \
-                else "dir"
-        self.backend = backend
         self.hits = 0
         self.misses = 0
         #: Entries quarantined to ``*.corrupt`` by this handle.
         self.corrupted = 0
-        #: Transient I/O failures reported as plain misses (entry kept).
+        #: Transient read failures reported as plain misses (entry kept).
         self.io_errors = 0
         #: Untrusted source entries a merge/delta refused to copy.
         self.merge_skipped = 0
-        #: Legacy entry files folded into the warm log at open.
-        self.migrated = 0
         #: Entries removed by :meth:`evict` through this handle.
         self.evicted = 0
-        #: Legacy per-entry files examined by directory scans — the
-        #: counter the CI warm-tier gate pins to zero: a warm-backend
-        #: cache past migration must never walk entry files again.
-        self.dir_scan_entries = 0
         self.hot = HotTier(hot_capacity)
-        self.warm: WarmStore | None = None
-        self.temp_swept = self._sweep_temps()
+        self._lock = threading.RLock()
+        self._conn: sqlite3.Connection | None = None
+        self._pid = 0
+        _HANDLES.add(self)
+        legacy = [] if self.path.exists() else list(
+            _source_rows(self.directory, store=False))
         self.corrupt_swept = self._sweep_corrupt()
-        if self.backend == "warm":
-            self.warm = WarmStore(self.directory)
-            self.migrated = self._migrate_legacy_entries()
+        self._query("SELECT 1")  # fail fast on a file that is no cache
+        self._fold(legacy, overwrite=False)
 
-    def path_for(self, key: str) -> Path:
-        """The legacy entry file of a job key (also names the
-        ``<key>.corrupt`` quarantine target in every backend)."""
-        return self.directory / f"{key}.json"
+    # -- the connection ----------------------------------------------------
 
-    # -- open-time sweeps --------------------------------------------------
+    def _db(self) -> sqlite3.Connection:
+        """This process's connection (the caller holds the lock)."""
+        if self._conn is None or self._pid != os.getpid():
+            self._conn = _connect(self.path)
+            self._pid = os.getpid()
+        return self._conn
 
-    def _sweep_temps(self) -> int:
-        """Remove ``.tmp-*`` files older than :attr:`temp_sweep_age_s`
-        (a killed writer's leavings); returns how many were removed."""
-        removed = 0
+    def close(self) -> None:
+        """Close this process's connection; the next use reopens it."""
+        with self._lock:
+            if self._conn is not None and self._pid == os.getpid():
+                self._conn.close()
+            self._conn = None
+
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One write transaction under the lock.  ``BEGIN IMMEDIATE``
+        takes the write lock up front, so a writer waits its turn
+        instead of failing on a stale read snapshot."""
+        with self._lock:
+            conn = self._db()
+            conn.execute("BEGIN IMMEDIATE")
+            with conn:
+                yield conn
+
+    def _query(self, sql: str, params: tuple = ()) -> list[tuple]:
+        with self._lock:
+            return self._db().execute(sql, params).fetchall()
+
+    def _write(self, rows: list[tuple[str, float | None, bytes]],
+               replace: bool) -> int:
+        """Insert ``(key, ts or None for now, entry bytes)`` rows in one
+        transaction; returns how many landed.  An existing key is
+        replaced when ``replace``, else kept (first writer wins)."""
+        if not rows:
+            return 0
         now = time.time()
-        for path in self.directory.glob(".tmp-*"):
-            try:
-                if now - path.stat().st_mtime < self.temp_sweep_age_s:
-                    continue
-                path.unlink()
-                removed += 1
-            except OSError:  # finished/cleaned by a live writer mid-scan
-                continue
-        if removed:
-            get_registry().counter(
-                "repro_cache_temps_swept_total",
-                "Stale cache temp files removed at open.",
-            ).inc(removed)
-            _LOG.warning("swept %d stale temp file(s) from %s",
-                         removed, self.directory)
-        return removed
+        with self._transaction() as conn:
+            before = conn.total_changes
+            conn.executemany(
+                f"INSERT OR {'REPLACE' if replace else 'IGNORE'} INTO "
+                "entries (key, ts, entry) VALUES (?, ?, ?)",
+                [(key, now if ts is None else ts, blob)
+                 for key, ts, blob in rows])
+            return conn.total_changes - before
+
+    # -- open-time upkeep --------------------------------------------------
 
     def _sweep_corrupt(self) -> int:
-        """Remove ``*.corrupt`` quarantine files older than
-        :attr:`corrupt_sweep_age_s`; returns how many were removed.
-        Fresh quarantine survives — it is post-mortem evidence — but
-        nothing accumulates forever."""
+        """Remove quarantine files older than
+        :data:`DEFAULT_CORRUPT_SWEEP_AGE_S`; returns how many."""
         removed = 0
         now = time.time()
         for path in self.directory.glob("*.corrupt"):
             try:
-                if now - path.stat().st_mtime < self.corrupt_sweep_age_s:
-                    continue
-                path.unlink()
-                removed += 1
+                if now - path.stat().st_mtime >= DEFAULT_CORRUPT_SWEEP_AGE_S:
+                    path.unlink()
+                    removed += 1
             except OSError:
                 continue
         if removed:
-            get_registry().counter(
-                "repro_cache_corrupt_swept_total",
-                "Aged-out quarantine files removed at open.",
-            ).inc(removed)
+            _count("repro_cache_corrupt_swept_total",
+                   "Aged-out quarantine files removed at open.", removed)
             _LOG.warning("swept %d aged quarantine file(s) from %s",
                          removed, self.directory)
         return removed
 
-    def _migrate_legacy_entries(self) -> int:
-        """Fold legacy per-entry files into the warm log at open.
-
-        Trusted entries are appended (first writer wins) and their
-        files removed; stale ones are deleted outright (dead weight in
-        either format); corrupt ones are quarantined.  After one
-        migration the directory holds no entry files, so this scan —
-        the last directory walk a warm cache ever performs — finds
-        nothing on every later open."""
-        assert self.warm is not None
-        batch: list[tuple] = []
-        migratable: list[Path] = []
-        for path in sorted(self.directory.glob("[!.]*.json")):
-            self.dir_scan_entries += 1
-            key = path.stem
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                self.io_errors += 1
-                continue
-            try:
-                parsed = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self._quarantine(path, "undecodable legacy entry")
-                continue
-            verdict = classify_entry(parsed)
-            if verdict == ENTRY_CORRUPT:
-                self._quarantine(path, "corrupt legacy entry")
-                continue
-            if verdict == ENTRY_STALE:
-                _unlink_quiet(path)
-                continue
-            try:
-                ts = path.stat().st_mtime
-            except OSError:
-                ts = None
-            batch.append((key, parsed, ts))
-            migratable.append(path)
-        if not batch:
-            return 0
-        self.warm.append_many(batch)
-        for path in migratable:
-            _unlink_quiet(path)
-        self.warm.write_sidecar()
-        migrated = len(batch)
-        get_registry().counter(
-            "repro_cache_migrated_total",
-            "Legacy entry files folded into the warm log.",
-        ).inc(migrated)
-        _LOG.info("migrated %d legacy entr%s into %s", migrated,
-                  "y" if migrated == 1 else "ies",
-                  self.warm.log_path)
-        return migrated
-
     # -- lookup ------------------------------------------------------------
 
     def get(self, key: str) -> JobResult | None:
-        """The cached result of ``key``, or ``None`` on a miss.
+        """The cached result of ``key``, or ``None`` on a miss."""
+        with self._lock:
+            payload = self.hot.get(key)
+            if payload is not None:  # verified when it was cached
+                return self._hit(result_from_entry({"result": payload}))
+            try:
+                rows = self._query(
+                    "SELECT entry FROM entries WHERE key = ?", (key,))
+            except sqlite3.OperationalError as exc:
+                # A lock held past the timeout, an I/O hiccup: keep it.
+                self.io_errors += 1
+                _count("repro_cache_io_errors_total",
+                       "Transient read failures treated as plain misses.")
+                _LOG.warning("transient error reading %s: %s", key, exc)
+                return self._miss()
+            if not rows:
+                return self._miss()
+            raw = rows[0][0]
+            entry = _parse(raw)
+            verdict = classify_entry(entry)
+            if verdict == ENTRY_STALE:
+                return self._miss()
+            result = result_from_entry(entry) if verdict == ENTRY_OK else None
+            if result is None:
+                self._quarantine(key, raw, "malformed result payload"
+                                 if verdict == ENTRY_OK else "corrupt bytes")
+                return self._miss()
+            self.hot.put(key, entry["result"])
+            return self._hit(result)
 
-        An entry that exists but cannot be trusted — truncated or
-        garbage bytes, a checksum mismatch, a malformed result payload —
-        is quarantined to ``<key>.corrupt`` and reported as a miss, so
-        corruption costs one re-execution instead of a crash.  A
-        missing entry, a schema-version mismatch, a pre-checksum legacy
-        entry, or a *transient I/O error* (the entry is left in place)
-        is a plain miss.
-        """
-        payload = self.hot.get(key)
-        if payload is not None:
-            result = self._result_from_payload(payload)
-            if result is not None:
-                self._hit()
-                return result
-            self.hot.invalidate(key)
-        if self.backend == "warm":
-            entry, raw = self._read_warm(key)
-        else:
-            entry, raw = self._read_dir(key)
-        if entry is _MISS:
-            self._miss()
-            return None
-        verdict = classify_entry(entry)
-        if verdict == ENTRY_STALE:
-            # Unverifiable or out-of-schema bytes: re-run rather than
-            # trust them; the store rewrites the slot with a checksum.
-            if self.backend == "warm":
-                self.warm.remove(key)
-            self._miss()
-            return None
-        if verdict == ENTRY_CORRUPT:
-            self._quarantine_entry(key, raw, "checksum mismatch"
-                                   if isinstance(entry, dict)
-                                   else "entry is not a JSON object")
-            self._miss()
-            return None
-        result = result_from_entry(entry)
-        if result is None:
-            self._quarantine_entry(key, raw, "malformed result payload")
-            self._miss()
-            return None
-        self._hit()
-        self.hot.put(key, entry["result"])
-        return result
-
-    def _read_dir(self, key: str) -> tuple[Any, bytes | None]:
-        """Read a legacy entry file; ``(_MISS, None)`` on a plain miss.
-        Transient I/O errors never quarantine — only byte-level damage
-        does, and decode failures are surfaced as non-dict entries."""
-        path = self.path_for(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return _MISS, None
-        except OSError as exc:
-            # EACCES, EMFILE, a slow NFS mount: the entry is (as far as
-            # anyone knows) healthy — leave it for the next reader.
-            self.io_errors += 1
-            get_registry().counter(
-                "repro_cache_io_errors_total",
-                "Transient I/O failures treated as plain cache misses.",
-            ).inc()
-            _LOG.warning("transient I/O error reading %s: %s",
-                         path.name, exc)
-            return _MISS, None
-        try:
-            return json.loads(raw), raw
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None, raw  # classify_entry(None) -> corrupt
-
-    def _read_warm(self, key: str) -> tuple[Any, bytes | None]:
-        assert self.warm is not None
-        self.warm.resync()
-        raw = self.warm.lookup_raw(key)
-        if raw is None:
-            return _MISS, None
-        try:
-            record = json.loads(raw)
-            return record.get("entry"), raw
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None, raw
-
-    def _result_from_payload(self, payload: dict) -> JobResult | None:
-        try:
-            result = JobResult.from_dict(payload)
-        except (KeyError, TypeError):
-            return None
-        result.cached = True
-        result.seconds = 0.0
-        result.metrics = {}
-        result.attempts = 0
-        return result
-
-    def _hit(self) -> None:
+    def _hit(self, result: JobResult) -> JobResult:
         self.hits += 1
-        get_registry().counter(
-            "repro_cache_hits_total", "Result-cache lookups that hit.",
-        ).inc()
+        _count("repro_cache_hits_total", "Result-cache lookups that hit.")
+        return result
 
     def _miss(self) -> None:
         self.misses += 1
-        get_registry().counter(
-            "repro_cache_misses_total", "Result-cache lookups that missed.",
-        ).inc()
+        _count("repro_cache_misses_total",
+               "Result-cache lookups that missed.")
 
-    def _quarantine_entry(self, key: str, raw: bytes | None,
-                          why: str) -> None:
-        """Quarantine whatever bytes back ``key`` in this backend."""
-        if self.backend == "warm":
-            target = self.directory / f"{key}.corrupt"
-            try:
-                target.write_bytes(raw if raw is not None else b"")
-            except OSError:
-                return
-            self.warm.remove(key)
-            self._count_quarantine(key, target, why)
-        else:
-            self._quarantine(self.path_for(key), why)
-
-    def _quarantine(self, path: Path, why: str) -> None:
-        """Move a corrupt entry file aside as ``<key>.corrupt``
-        (best-effort; a concurrent writer may have already replaced
-        it)."""
-        target = path.with_suffix(".corrupt")
+    def _quarantine(self, key: str, raw: bytes, why: str) -> None:
+        """Move damaged entry bytes aside as ``<key>.corrupt`` and drop
+        the row, unless a concurrent writer has already replaced it."""
+        target = self.directory / f"{key}.corrupt"
         try:
-            os.replace(path, target)
-        except OSError:
+            target.write_bytes(raw)
+            with self._transaction() as conn:
+                conn.execute(
+                    "DELETE FROM entries WHERE key = ? AND entry = ?",
+                    (key, raw))
+        except (OSError, sqlite3.OperationalError):
             return
-        self._count_quarantine(path.stem, target, why)
-
-    def _count_quarantine(self, key: str, target: Path, why: str) -> None:
         self.corrupted += 1
-        get_registry().counter(
-            "repro_cache_corrupt_total",
-            "Cache entries quarantined as corrupt.",
-        ).inc()
+        _count("repro_cache_corrupt_total",
+               "Cache entries quarantined as corrupt.")
         _LOG.warning("quarantined corrupt cache entry %s -> %s (%s)",
                      key, target.name, why)
 
     # -- store -------------------------------------------------------------
 
     def put(self, job: AnalysisJob, result: JobResult) -> bool:
-        """Store ``result`` under ``job``'s key; returns whether stored.
-
-        The hot tier is *not* primed here: the published bytes may
-        still be damaged behind our back (a dying machine, the
-        ``cache.torn_write`` chaos site), and only a verified read may
-        vouch for an entry.
-        """
+        """Store ``result`` under ``job``'s key, replacing any row there;
+        returns whether stored (the hot tier is left unprimed)."""
         if result.status not in CACHEABLE_STATUSES:
             return False
-        entry = build_entry(job, result)
-        if self.backend == "warm":
-            return self._put_warm(job, entry)
-        return self._put_dir(job, entry)
-
-    def _put_dir(self, job: AnalysisJob, entry: dict) -> bool:
-        path = self.path_for(job.key)
-        fd, temp_path = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
+        blob = entry_json(build_entry(job, result)).encode()
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(temp_path, path)
-        except OSError:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+            self._write([(job.key, None, blob)], replace=True)
+        except sqlite3.OperationalError as exc:
+            _LOG.warning("could not store %s: %s", job.key, exc)
             return False
-        self._count_store()
+        _count("repro_cache_stores_total", "Result-cache entries written.")
         self._apply_write_fault(job)
         return True
 
-    def _put_warm(self, job: AnalysisJob, entry: dict) -> bool:
-        assert self.warm is not None
-        try:
-            written = self.warm.append(job.key, entry)
-        except OSError:
-            return False
-        if written:
-            self._count_store()
-            self._apply_write_fault(job)
-        # An unwritten append means the key is already live (first
-        # writer won) — the caller's result is stored either way.
-        return True
-
-    def _count_store(self) -> None:
-        get_registry().counter(
-            "repro_cache_stores_total", "Result-cache entries written.",
-        ).inc()
-
     def _apply_write_fault(self, job: AnalysisJob) -> None:
-        """Chaos hook: damage the just-published entry when the active
+        """Chaos hook: damage the just-stored entry when the active
         fault plan says so (``cache.torn_write`` / ``cache.corrupt``)."""
-        if active_plan() is None:
-            return
-        rule = fault_point("cache.torn_write", name=job.name, key=job.key,
-                           kind=job.kind)
-        mode = "truncate" if rule is not None else None
-        if rule is None:
-            rule = fault_point("cache.corrupt", name=job.name, key=job.key,
-                               kind=job.kind)
-            mode = rule.mode if rule is not None else None
+        where = dict(name=job.name, key=job.key, kind=job.kind)
+        rule = (fault_point("cache.torn_write", **where)
+                or fault_point("cache.corrupt", **where))
         if rule is None:
             return
-        try:
-            if self.backend == "warm":
-                self._damage_warm_record(job.key, mode)
-            else:
-                path = self.path_for(job.key)
-                if mode == "truncate":
-                    data = path.read_bytes()
-                    path.write_bytes(data[: len(data) // 2])
-                else:
-                    plan = active_plan()
-                    path.write_bytes(plan.corruption_bytes(job.key))
-        except OSError:  # pragma: no cover — fault on the fault path
-            pass
+        if rule.site == "cache.torn_write" or rule.mode == "truncate":
+            value, params = "substr(entry, 1, length(entry) / 2)", ()
+        else:
+            value, params = "?", (active_plan().corruption_bytes(job.key),)
+        with self._transaction() as conn:
+            conn.execute(f"UPDATE entries SET entry = {value} WHERE key = ?",
+                         (*params, job.key))
 
-    def _damage_warm_record(self, key: str, mode: str | None) -> None:
-        """Chaos-only: tear or scribble over ``key``'s log record in
-        place, modelling a machine dying mid-append / bit rot."""
-        assert self.warm is not None
-        slot = self.warm.index.get(key)
-        if slot is None:
-            return
-        offset, length, _ = slot
-        with open(self.warm.log_path, "r+b") as handle:
-            if mode == "truncate":
-                # Tear the tail: only meaningful for the final record.
-                handle.truncate(offset + length // 2)
-            else:
-                plan = active_plan()
-                garbage = plan.corruption_bytes(key)[: length - 1]
-                garbage = garbage.ljust(length - 1, b"x")
-                handle.seek(offset)
-                handle.write(garbage)
-
-    # -- merging -----------------------------------------------------------
+    # -- merging and federation --------------------------------------------
 
     def merge_from(self, source: str | os.PathLike,
                    overwrite: bool = False) -> int:
-        """Fold another cache directory's entries into this one.
-
-        The shard-merge primitive: after ``batch --shard k/n`` runs on
-        disjoint cache directories, merging them all into one yields
-        the cache an unsharded run would have produced (keys are
-        content-addressed, so entries never conflict semantically — two
-        copies of a key differ only in recorded wall seconds).
-
-        The source may be either format — legacy entry files and a
-        ``warm.log`` are both read (the source is never written to).
-        Existing entries are kept unless ``overwrite`` (first writer
-        wins — the cheapest option, and any winner is equally valid).
-        Only entries :meth:`get` would trust are copied: in-flight
-        ``.tmp-*`` files, unreadable/undecodable/checksum-failing
-        entries *and* stale ones (legacy checksum-less, schema-version
-        mismatch) are skipped and counted in :attr:`merge_skipped` —
-        merging a shard cache a fault chewed on must not spread damage,
-        and dead weight every later lookup refuses is not worth
-        copying either.  Returns how many entries were copied.
-        """
+        """Fold another cache directory's trusted entries into this one
+        (first writer wins unless ``overwrite``); returns how many were
+        copied.  Merging the caches of ``batch --shard k/n`` runs yields
+        the cache an unsharded run would have produced.  The source is
+        only read; a missing one raises :class:`AnalysisError`.
+        Untrusted entries are counted in :attr:`merge_skipped`, so a
+        shard cache a fault chewed on cannot spread damage."""
         source_dir = Path(source)
+        if not source_dir.is_dir():
+            raise AnalysisError(
+                f"cache directory {str(source_dir)!r} does not exist")
         if source_dir.resolve() == self.directory.resolve():
             return 0
-        copied = 0
-        warm_batch: list[tuple] = []
-        for key, raw, entry, ts in self._iter_source_entries(source_dir):
-            verdict = classify_entry(entry)
-            if verdict != ENTRY_OK:
-                self._count_merge_skip(key, verdict)
-                continue
-            if self.backend == "warm":
-                if not overwrite and key in self.warm:
-                    continue
-                warm_batch.append((key, entry, ts))
-                continue
-            destination = self.path_for(key)
-            if not overwrite and destination.exists():
-                continue
-            fd, temp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(raw)
-                os.replace(temp_path, destination)
-                copied += 1
-            except OSError:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-        if warm_batch:
-            copied += self.warm.append_many(warm_batch,
-                                            overwrite=overwrite)
-            self.warm.write_sidecar()
-        if copied:
-            _LOG.debug("merged %d entr%s from %s", copied,
-                       "y" if copied == 1 else "ies", source_dir)
-        return copied
+        return self._fold(_source_rows(
+            source_dir, store=(source_dir / DB_NAME).exists()), overwrite)
 
-    def _iter_source_entries(self, source_dir: Path):
-        """Yield ``(key, raw_entry_bytes, parsed_entry_or_None, ts)``
-        for every entry a source directory holds, both formats.  A
-        parse failure yields ``None`` (classified corrupt); the raw
-        bytes preserve the original file verbatim for dir-to-dir
-        copies."""
-        for path in sorted(source_dir.glob("[!.]*.json")):
-            self.dir_scan_entries += 1
-            try:
-                raw = path.read_bytes()
-                ts = path.stat().st_mtime
-            except OSError:
-                continue
-            try:
-                parsed = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                parsed = None
-            yield path.stem, raw, parsed, ts
-        log_path = source_dir / WARM_LOG_NAME
-        if log_path.exists():
-            for key, record in sorted(
-                    read_log_records(log_path).items()):
-                entry = record.get("entry")
-                try:
-                    ts = float(record.get("ts", 0.0))
-                except (TypeError, ValueError):
-                    ts = 0.0
-                yield key, (entry_json(entry).encode() + b"\n"
-                            if isinstance(entry, dict) else b""), \
-                    entry, ts
+    def _fold(self, rows: Iterator[tuple[str, float, bytes]],
+              overwrite: bool) -> int:
+        """Store the trusted ones of ``(key, ts, raw bytes)`` source
+        rows; returns how many landed."""
+        trusted = []
+        for key, ts, raw in rows:
+            verdict = classify_entry(_parse(raw))
+            if verdict == ENTRY_OK:
+                trusted.append((key, ts, raw))
+            else:
+                self._count_merge_skip(key, verdict)
+        return self._write(trusted, replace=overwrite)
 
     def _count_merge_skip(self, key: str, verdict: str) -> None:
         self.merge_skipped += 1
-        get_registry().counter(
-            "repro_cache_merge_skipped_total",
-            "Untrusted source entries refused by merge/delta.",
-        ).inc()
+        _count("repro_cache_merge_skipped_total",
+               "Untrusted source entries refused by merge/delta.")
         _LOG.warning("skipping %s source entry %s", verdict, key)
 
-    # -- federation --------------------------------------------------------
-
     def delta_since(self, since: float) -> tuple[float, list[dict]]:
-        """Trusted entries written after ``since`` plus the new
-        watermark (the newest timestamp seen, so the next pull starts
-        where this one ended).
-
-        Each record is ``{"key", "ts", "entry"}`` — the same shape the
-        warm log stores — and only :data:`ENTRY_OK` entries travel:
-        federation must never propagate bytes a local ``get`` would
-        quarantine or refuse.
-        """
+        """Trusted ``{"key", "ts", "entry"}`` records written after
+        ``since``, plus the new watermark (the newest timestamp seen).
+        Only :data:`ENTRY_OK` entries travel: federation never
+        propagates bytes a local ``get`` would refuse."""
         watermark = since
-        records: list[dict] = []
-        if self.backend == "warm":
-            self.warm.resync()
-            stamps = self.warm.timestamps()
-            for key in sorted(stamps):
-                ts = stamps[key]
-                watermark = max(watermark, ts)
-                if ts <= since:
-                    continue
-                entry, _ = self._read_warm(key)
-                if entry is _MISS or classify_entry(entry) != ENTRY_OK:
-                    continue
-                records.append({"key": key, "ts": ts, "entry": entry})
-            return watermark, records
-        for path in sorted(self.directory.glob("[!.]*.json")):
-            self.dir_scan_entries += 1
-            try:
-                ts = path.stat().st_mtime
-                raw = path.read_bytes()
-            except OSError:
-                continue
+        records = []
+        for key, ts, raw in self._query(
+                "SELECT key, ts, entry FROM entries WHERE ts > ? "
+                "ORDER BY key", (since,)):
             watermark = max(watermark, ts)
-            if ts <= since:
-                continue
-            try:
-                entry = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if classify_entry(entry) != ENTRY_OK:
-                continue
-            records.append({"key": path.stem, "ts": ts, "entry": entry})
+            entry = _parse(raw)
+            if classify_entry(entry) == ENTRY_OK:
+                records.append({"key": key, "ts": ts, "entry": entry})
         return watermark, records
 
     def apply_delta(self, records: list[dict]) -> tuple[int, int]:
-        """Store trusted delta records this cache lacks; returns
-        ``(applied, skipped)``.  First writer wins, same as
-        :meth:`merge_from` — content-addressed keys make re-delivery
-        idempotent, which is what lets the federation protocol retry
-        freely."""
-        applied = 0
+        """Store the trusted delta records this cache lacks; returns
+        ``(applied, skipped)``.  First writer wins, so re-delivery is a
+        no-op and the federation protocol can retry freely."""
+        rows = []
         skipped = 0
-        warm_batch: list[tuple] = []
         for record in records:
-            if not isinstance(record, dict):
-                skipped += 1
-                continue
-            key = record.get("key")
-            entry = record.get("entry")
+            key = record.get("key") if isinstance(record, dict) else None
             if not isinstance(key, str) or not key \
                     or _UNSAFE_KEY_CHARS.intersection(key):
                 skipped += 1
                 continue
-            if classify_entry(entry) != ENTRY_OK:
-                self._count_merge_skip(key, classify_entry(entry))
+            verdict = classify_entry(record.get("entry"))
+            if verdict != ENTRY_OK:
+                self._count_merge_skip(key, verdict)
                 skipped += 1
                 continue
             try:
                 ts = float(record.get("ts", 0.0)) or None
             except (TypeError, ValueError):
                 ts = None
-            if self.backend == "warm":
-                if key in self.warm:
-                    continue
-                warm_batch.append((key, entry, ts))
-                applied += 1
-                continue
-            destination = self.path_for(key)
-            if destination.exists():
-                continue
-            fd, temp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(entry_json(entry))
-                os.replace(temp_path, destination)
-                applied += 1
-            except OSError:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-        if warm_batch:
-            self.warm.append_many(warm_batch)
-            self.warm.write_sidecar()
-        return applied, skipped
+            rows.append((key, ts, entry_json(record["entry"]).encode()))
+        return self._write(rows, replace=False), skipped
 
     # -- maintenance -------------------------------------------------------
 
     def compact(self) -> dict[str, int]:
-        """Rewrite the warm log dropping tombstones, garbage, stale and
-        superseded records; returns the compaction summary.  Requires
-        the warm backend — the legacy directory format has nothing to
-        compact (use ``migrate``/the warm backend first)."""
-        if self.backend != "warm":
-            raise AnalysisError(
-                "cache compaction requires the warm backend "
-                "(open with backend='warm' to migrate this directory)"
-            )
-        return self.warm.compact(classify=classify_entry)
+        """``VACUUM`` the store and fold the write-ahead log back into
+        it; returns how many entries it kept."""
+        with self._lock:
+            self._db().execute("VACUUM")
+            self._db().execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        return {"kept": len(self)}
 
     def evict(self, max_age_s: float | None = None,
               now: float | None = None) -> int:
-        """Remove entries older than ``max_age_s`` (default
+        """Remove entries older than ``max_age_s`` seconds (default
         :attr:`eviction_age_s`); returns how many were evicted."""
         if max_age_s is None:
             max_age_s = self.eviction_age_s
-        if now is None:
-            now = time.time()
-        if self.backend == "warm":
-            summary = self.warm.compact(evict_age_s=max_age_s, now=now,
-                                        classify=classify_entry)
-            evicted = summary["evicted"]
+        if max_age_s < 0:
+            raise AnalysisError(
+                f"eviction age must be >= 0 seconds, got {max_age_s}")
+        cutoff = (time.time() if now is None else now) - max_age_s
+        with self._transaction() as conn:
+            evicted = conn.execute("DELETE FROM entries WHERE ts < ?",
+                                   (cutoff,)).rowcount
             self.evicted += evicted
             if evicted:
                 self.hot.clear()
-            return evicted
-        evicted = 0
-        for path in self.directory.glob("[!.]*.json"):
-            self.dir_scan_entries += 1
-            try:
-                if now - path.stat().st_mtime <= max_age_s:
-                    continue
-                path.unlink()
-                evicted += 1
-            except OSError:
-                continue
-        self.evicted += evicted
-        if evicted:
-            self.hot.clear()
-            get_registry().counter(
-                "repro_cache_evicted_total",
-                "Cache entries dropped by age-bounded eviction.",
-            ).inc(evicted)
+                _count("repro_cache_evicted_total",
+                       "Cache entries dropped by age-bounded eviction.",
+                       evicted)
         return evicted
 
     def clear(self) -> int:
-        """Delete all entries; returns how many were removed.
-
-        The pattern excludes in-flight ``.tmp-*`` files (pathlib's glob
-        matches leading dots): unlinking one would race a concurrent
-        writer's ``os.replace`` and silently drop its store.
-        """
-        self.hot.clear()
-        if self.backend == "warm":
-            return self.warm.clear()
-        removed = 0
-        for path in self.directory.glob("[!.]*.json"):
-            self.dir_scan_entries += 1
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete all entries; returns how many were removed."""
+        with self._transaction() as conn:
+            self.hot.clear()
+            return conn.execute("DELETE FROM entries").rowcount
 
     def __len__(self) -> int:
-        if self.backend == "warm":
-            self.warm.resync()
-            return len(self.warm)
-        count = 0
-        for _ in self.directory.glob("[!.]*.json"):
-            self.dir_scan_entries += 1
-            count += 1
-        return count
+        return self._query("SELECT COUNT(*) FROM entries")[0][0]
 
     # -- stats -------------------------------------------------------------
 
     @staticmethod
     def empty_stats() -> dict[str, Any]:
-        """The :meth:`stats` schema with every value zeroed.
-
-        Served by ``/healthz`` before the engine (and therefore the
-        cache handle) exists, so scrapers see one stable shape instead
-        of special-casing ``null``.  Every value is numeric — serve's
-        ``/metrics`` mirrors each key as a gauge.
-        """
-        return {
-            "hits": 0,
-            "misses": 0,
-            "corrupted": 0,
-            "io_errors": 0,
-            "temp_swept": 0,
-            "corrupt_swept": 0,
-            "corrupt_files": 0,
-            "merge_skipped": 0,
-            "migrated": 0,
-            "evicted": 0,
-            "dir_scan_entries": 0,
-            "hot_hits": 0,
-            "hot_entries": 0,
-            "hot_evictions": 0,
-            "warm_backend": 0,
-            "warm_generation": 0,
-            "warm_compactions": 0,
-            "warm_garbage_records": 0,
-            "entries": 0,
-            "total_bytes": 0,
-            "oldest_age_s": 0.0,
-            "newest_age_s": 0.0,
-            "age_p50_s": 0.0,
-            "age_p90_s": 0.0,
-            "eviction_candidates": 0,
-        }
+        """The :meth:`stats` schema zeroed, for ``/healthz`` before the
+        handle exists.  Every value is numeric: ``/metrics`` mirrors
+        each key as a gauge."""
+        return {**dict.fromkeys(_STAT_COUNTS, 0),
+                **dict.fromkeys(_STAT_AGES, 0.0)}
 
     def stats(self, now: float | None = None) -> dict[str, Any]:
-        """Hit/miss counters of this handle plus on-disk shape: entry
-        count, total bytes (quarantine files included — they are disk
-        usage too), and entry-age spread (seconds since last write:
-        oldest/newest and p50/p90 percentiles) — the capacity-planning
-        view.  ``eviction_candidates`` counts entries older than
-        :attr:`eviction_age_s`; nothing is deleted here.  On the warm
-        backend the whole view comes from the in-memory index — no
-        per-entry directory scan."""
-        data = self.empty_stats()
-        data["hits"], data["misses"] = self.hits, self.misses
-        data["corrupted"] = self.corrupted
-        data["io_errors"] = self.io_errors
-        data["temp_swept"] = self.temp_swept
-        data["corrupt_swept"] = self.corrupt_swept
-        data["merge_skipped"] = self.merge_skipped
-        data["migrated"] = self.migrated
-        data["evicted"] = self.evicted
-        data["hot_hits"] = self.hot.hits
-        data["hot_entries"] = len(self.hot)
-        data["hot_evictions"] = self.hot.evictions
-        if now is None:
-            now = time.time()
-        ages: list[float] = []
-        total_bytes = 0
-        if self.backend == "warm":
-            self.warm.resync()
-            data["warm_backend"] = 1
-            data["warm_generation"] = self.warm.generation
-            data["warm_compactions"] = self.warm.compactions
-            data["warm_garbage_records"] = self.warm.garbage_records
-            ages = [max(0.0, now - ts)
-                    for ts in self.warm.timestamps().values()]
-            total_bytes = self.warm.log_bytes()
-        else:
-            for path in self.directory.glob("[!.]*.json"):
-                self.dir_scan_entries += 1
-                try:
-                    meta = path.stat()
-                except OSError:  # deleted mid-scan by another writer
-                    continue
-                total_bytes += meta.st_size
-                ages.append(max(0.0, now - meta.st_mtime))
-        corrupt_files = 0
-        for path in self.directory.glob("*.corrupt"):
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                continue
-            corrupt_files += 1
-        data["corrupt_files"] = corrupt_files
-        # Reported last so the scans above are themselves accounted.
-        data["dir_scan_entries"] = self.dir_scan_entries
-        ages.sort()
+        """This handle's counters plus the on-disk shape: entries, total
+        bytes (store plus quarantine files), entry ages (seconds since
+        last write) and how many are past :attr:`eviction_age_s`."""
+        now = time.time() if now is None else now
+        with self._lock:
+            data = self.empty_stats()
+            data.update(
+                hits=self.hits, misses=self.misses,
+                corrupted=self.corrupted, io_errors=self.io_errors,
+                corrupt_swept=self.corrupt_swept,
+                merge_skipped=self.merge_skipped, evicted=self.evicted,
+                hot_hits=self.hot.hits, hot_entries=len(self.hot),
+                hot_evictions=self.hot.evictions)
+            ages = sorted(max(0.0, now - ts)
+                          for (ts,) in self._query("SELECT ts FROM entries"))
+        for path in (self.path, self.path.with_name(DB_NAME + "-wal"),
+                     *self.directory.glob("*.corrupt")):
+            with contextlib.suppress(OSError):
+                data["total_bytes"] += path.stat().st_size
+                data["corrupt_files"] += path.suffix == ".corrupt"
         data["entries"] = len(ages)
-        data["total_bytes"] = total_bytes
         if ages:
             data["oldest_age_s"] = round(ages[-1], 3)
             data["newest_age_s"] = round(ages[0], 3)
-            data["age_p50_s"] = round(percentile(ages, 0.5), 3)
-            data["age_p90_s"] = round(percentile(ages, 0.9), 3)
+            # Nearest-rank percentiles of the ascending ages.
+            data["age_p50_s"] = round(ages[round(0.5 * (len(ages) - 1))], 3)
+            data["age_p90_s"] = round(ages[round(0.9 * (len(ages) - 1))], 3)
             data["eviction_candidates"] = sum(
-                1 for age in ages if age > self.eviction_age_s
-            )
+                1 for age in ages if age > self.eviction_age_s)
         return data
 
 
-#: Sentinel distinguishing "no entry" from "entry parsed to None".
-_MISS = object()
-
-#: Characters a federated key may never contain — keys name files.
-_UNSAFE_KEY_CHARS = set("/\\\0.")
-
-
-def _unlink_quiet(path: Path) -> None:
+def _connect(path: Path) -> sqlite3.Connection:
+    """A WAL-mode connection to the store at ``path``, schema ensured.
+    A file that is not an SQLite database raises :class:`AnalysisError`
+    naming it; transient failures stay ``sqlite3.OperationalError``."""
+    conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S,
+                           isolation_level=None, check_same_thread=False)
     try:
-        path.unlink()
-    except OSError:
-        pass
+        # Turning a new file to WAL takes a lock the busy handler does
+        # not wait for, so concurrent first openers retry it.
+        for _attempt in range(int(BUSY_TIMEOUT_S / 0.01)):
+            with contextlib.suppress(sqlite3.OperationalError):
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            time.sleep(0.01)
+        else:
+            conn.execute("PRAGMA journal_mode=WAL")  # raises the error
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("BEGIN IMMEDIATE")
+        with conn:
+            for statement in _SCHEMA:
+                conn.execute(statement)
+    except sqlite3.DatabaseError as exc:
+        conn.close()
+        if isinstance(exc, sqlite3.OperationalError):
+            raise
+        raise AnalysisError(
+            f"{path} is not an SQLite result cache: {exc}") from exc
+    return conn
+
+
+def _count(name: str, help_text: str, amount: int = 1) -> None:
+    get_registry().counter(name, help_text).inc(amount)
+
+
+def _parse(raw: Any) -> Any:
+    """Stored entry bytes as JSON, or ``None`` (classified corrupt)."""
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError):
+        return None
+
+
+def _source_rows(directory: Path,
+                 store: bool) -> Iterator[tuple[str, float, bytes]]:
+    """``(key, ts, raw bytes)`` of every entry in a cache directory, in
+    key order, read-only: its ``mode=ro`` table when ``store``, else its
+    legacy ``<key>.json`` files stamped with their mtime."""
+    path = directory / DB_NAME
+    if not store:
+        for file in sorted(directory.glob("[!.]*.json")):
+            try:
+                row = file.stem, file.stat().st_mtime, file.read_bytes()
+            except OSError:
+                continue
+            yield row
+        return
+    try:
+        with contextlib.closing(sqlite3.connect(
+                f"{path.resolve().as_uri()}?mode=ro", uri=True,
+                timeout=BUSY_TIMEOUT_S)) as conn:
+            rows = conn.execute(
+                "SELECT key, ts, entry FROM entries ORDER BY key").fetchall()
+    except sqlite3.DatabaseError as exc:
+        raise AnalysisError(f"cannot read result cache {path}: {exc}") \
+            from exc
+    yield from rows
+
+
+#: Every live handle.  A fork first closes their connections and holds
+#: their locks until it is done, so no child inherits a connection
+#: (SQLite forbids using one across ``fork``) or a held lock.
+_HANDLES: weakref.WeakSet[ResultCache] = weakref.WeakSet()
+
+
+def _install_fork_hooks() -> None:
+    held: list[ResultCache] = []
+
+    def before() -> None:
+        held.extend(_HANDLES)
+        for cache in held:
+            cache._lock.acquire()
+            cache.close()
+
+    def after() -> None:
+        for cache in held:
+            cache._lock.release()
+        held.clear()
+
+    os.register_at_fork(before=before, after_in_parent=after,
+                        after_in_child=after)
+
+
+_install_fork_hooks()

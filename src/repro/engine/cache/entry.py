@@ -1,8 +1,8 @@
-"""The on-disk cache entry schema, shared by every tier.
+"""The cache entry schema, shared by the store and federation.
 
-One *entry* is the JSON object persisted for one job key — by the
-legacy one-file-per-entry directory store, by the warm append-log, and
-by the federation delta protocol.  All three speak exactly this shape::
+One *entry* is the JSON object stored for one job key — a row of the
+SQLite store, a legacy ``<key>.json`` file, a federation delta record's
+``"entry"`` — always exactly this shape::
 
     {"version": JOB_SCHEMA_VERSION,
      "job": {"kind": ..., "name": ..., "config": {...}, "lp_solver": {...}},
@@ -11,8 +11,7 @@ by the federation delta protocol.  All three speak exactly this shape::
 
 :func:`classify_entry` is the single trust decision every consumer
 (lookup, merge, federation) applies, so an entry one code path would
-refuse to replay can never be copied around by another — the bug class
-PR 10 fixed in ``merge_from``.
+refuse to replay can never be copied around by another.
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ def build_entry(job: AnalysisJob, result: JobResult) -> dict[str, Any]:
             "kind": job.kind,
             "name": job.name,
             "config": payload["config"],
-            # Recorded for debuggability; the *key* (entry name)
-            # already covers both, so entries written by an older
-            # solver revision are simply never looked up again.
+            # Recorded for debuggability: the key already covers both,
+            # so an older solver revision's entries are never looked up.
             "lp_solver": payload["lp_solver"],
         },
         "result": result_payload,
@@ -89,16 +87,11 @@ def entry_json(entry: dict[str, Any]) -> str:
 
 
 def result_from_entry(entry: dict[str, Any]) -> JobResult | None:
-    """Deserialize a trusted entry's result, zeroing the volatile
-    machine-condition fields exactly like a disk replay.
-
-    The entry keeps the original run's duration on disk, but a replayed
-    result cost this run nothing — reporting historical seconds as
-    measured time would inflate every consumer's timing column, and
-    replaying the stored metrics delta would double-count the original
-    run's increments.  Returns ``None`` when the payload's shape does
-    not reconstruct (quarantine material despite a passing checksum).
-    """
+    """Deserialize a trusted entry's result as a replay: a replay cost
+    this run nothing, so seconds, metrics and attempts are zeroed (the
+    stored ones would inflate timing columns and double-count metric
+    deltas).  ``None`` when the payload does not reconstruct —
+    quarantine material despite a passing checksum."""
     try:
         result = JobResult.from_dict(entry["result"])
     except (KeyError, TypeError):
@@ -108,12 +101,3 @@ def result_from_entry(entry: dict[str, Any]) -> JobResult | None:
     result.metrics = {}
     result.attempts = 0
     return result
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]

@@ -6,8 +6,7 @@ importantly, *idempotent*: re-delivering any record is a no-op, so
 every step can be retried through the
 :class:`~repro.coord.client.ResilientClient` without coordination.
 
-One **round** (driven by the coordinator's ``POST /cache/federate``,
-or by ``repro-diffcost cache federate`` against a node list):
+One **round** (driven by the coordinator's ``POST /cache/federate``):
 
 1. *Pull*: ``GET <node>/cache/delta?since=<watermark>`` from every
    node — the trusted entries that node wrote after the last round,

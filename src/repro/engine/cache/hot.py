@@ -75,8 +75,5 @@ class HotTier:
                 "Hot-tier payloads evicted by the LRU bound.",
             ).inc()
 
-    def invalidate(self, key: str) -> None:
-        self._payloads.pop(key, None)
-
     def clear(self) -> None:
         self._payloads.clear()

@@ -30,8 +30,6 @@ Sites (see :func:`repro.faults.fault_point` callers):
 ``job.delay``      sleep ``seconds`` before executing the job
 ``job.error``      raise :class:`InjectedFaultError` instead of running
 ``cache.torn_write``  truncate the entry bytes after a successful store
-                    (also consulted with ``name="compact"`` to crash a
-                    warm-log compaction before it publishes)
 ``cache.corrupt``  overwrite entry bytes with seeded garbage
 ``cache.delta_drop``  node answers ``GET /cache/delta`` with a 503 —
                     the federation pull leg never arrives

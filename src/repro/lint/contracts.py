@@ -119,19 +119,16 @@ DEFAULT_CONTRACTS = Contracts(
             "_canonical_result", "_canonical_portfolio", "canonical_report",
             "canonical_json", "merge_reports", "report_ok",
         )),
-        # The tiered cache package: entry/record/index serialization
-        # feeds content-addressed bytes (checksums, the warm log and
-        # its sidecar, federation deltas), so every producer must be
-        # canonical-byte deterministic.
+        # The cache package: entry serialization feeds content-addressed
+        # bytes (checksums, stored rows, merged and federated entries),
+        # so every producer of stored entry bytes must be canonical-byte
+        # deterministic.
         ("repro/engine/cache/__init__.py", (
-            "put", "_put_dir", "_put_warm", "merge_from", "apply_delta",
+            "put", "merge_from", "_fold", "_source_rows", "apply_delta",
             "delta_since",
         )),
         ("repro/engine/cache/entry.py", (
             "result_checksum", "build_entry", "entry_json",
-        )),
-        ("repro/engine/cache/warm.py", (
-            "_header_line", "_record_line", "write_sidecar", "compact",
         )),
         ("repro/engine/cache/federation.py", ("merge_deltas",)),
         ("repro/engine/batch.py", (
@@ -172,5 +169,9 @@ DEFAULT_CONTRACTS = Contracts(
         # any answer-producing work, deterministic content.
         ("repro/lp/backend.py", "register_backend"),
         ("repro/lp/backend.py", "_ensure_builtins"),
+        # The result cache's registry of live handles: its fork hooks
+        # close every SQLite connection before a fork, so no child
+        # inherits one.
+        ("repro/engine/cache/__init__.py", "__init__"),
     ),
 )

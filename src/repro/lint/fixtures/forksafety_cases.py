@@ -1,9 +1,11 @@
 """Fork-safety fixture: worker-reachable module with violations."""
 
 import signal
+import weakref
 
 _CACHE = {}
 _SEEN = set()
+_HANDLES = weakref.WeakSet()  # qualified constructors count too
 _LIMIT = 10  # immutable global: writes through `global` are still a
              # rebind but _LIMIT is not tracked (not a mutable literal)
 
@@ -18,6 +20,10 @@ def remember_allowed(key, value):
 
 def note(item):
     _SEEN.add(item)
+
+
+def register(handle):
+    _HANDLES.add(handle)
 
 
 def rebind():

@@ -28,7 +28,7 @@ _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp,
                      ast.ListComp, ast.SetComp)
 _MUTABLE_CONSTRUCTORS = frozenset({
     "dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
-    "deque",
+    "deque", "WeakSet", "WeakKeyDictionary", "WeakValueDictionary",
 })
 _MUTATORS = frozenset({
     "append", "add", "update", "extend", "insert", "setdefault", "pop",
@@ -45,10 +45,12 @@ def _mutable_global_names(tree: ast.Module) -> frozenset[str]:
             value, targets = node.value, [node.target]
         else:
             continue
+        func = value.func if isinstance(value, ast.Call) else None
         mutable = isinstance(value, _MUTABLE_LITERALS) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in _MUTABLE_CONSTRUCTORS
+            isinstance(func, ast.Name) and func.id in _MUTABLE_CONSTRUCTORS
+        ) or (  # qualified: collections.deque(), weakref.WeakSet(), ...
+            isinstance(func, ast.Attribute)
+            and func.attr in _MUTABLE_CONSTRUCTORS
         )
         if not mutable:
             continue

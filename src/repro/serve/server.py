@@ -387,8 +387,7 @@ class AnalysisServer:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        cache = (ResultCache(self.config.cache_dir,
-                             backend=self.config.cache_backend)
+        cache = (ResultCache(self.config.cache_dir)
                  if self.config.cache_dir else None)
         self.executor = ParallelExecutor(
             jobs=self.config.workers,

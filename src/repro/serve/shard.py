@@ -251,13 +251,11 @@ def report_ok(report: dict[str, Any]) -> bool:
 
 
 def merge_caches(destination: str, sources: list[str],
-                 overwrite: bool = False,
-                 backend: str = "auto") -> int:
+                 overwrite: bool = False) -> int:
     """Fold shard cache directories into ``destination``; returns the
-    number of entries copied.  Atomic per entry — safe to run while
-    other writers target the same destination.  Sources may be either
-    cache format; the destination keeps its existing format
-    (``backend="auto"``: warm only when its ``warm.log`` exists)."""
-    cache = ResultCache(destination, backend=backend)
+    number of entries copied.  One transaction per source — safe to run
+    while other writers target the same destination.  A missing source
+    raises :class:`~repro.errors.AnalysisError`."""
+    cache = ResultCache(destination)
     return sum(cache.merge_from(source, overwrite=overwrite)
                for source in sources)

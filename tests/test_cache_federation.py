@@ -40,7 +40,7 @@ def job(index: int) -> AnalysisJob:
 
 
 def seed_cache(directory, indices) -> list[str]:
-    cache = ResultCache(directory, backend="warm")
+    cache = ResultCache(directory)
     keys = []
     for index in indices:
         the_job = job(index)
@@ -58,12 +58,11 @@ class LiveNode:
     """A real AnalysisServer on its own event-loop thread so blocking
     federation clients can reach it over actual sockets."""
 
-    def __init__(self, cache_dir, cache_backend="warm"):
+    def __init__(self, cache_dir):
         self.port = None
         self.server = None
         self._settings = {"port": 0, "workers": 1,
-                          "cache_dir": str(cache_dir),
-                          "cache_backend": cache_backend}
+                          "cache_dir": str(cache_dir)}
         self._loop = None
         self._stopping = None
         self._ready = threading.Event()
@@ -157,7 +156,7 @@ class TestMergeEndpoint:
         finally:
             node_a.stop()
             node_b.stop()
-        merged = ResultCache(tmp_path / "b", backend="warm")
+        merged = ResultCache(tmp_path / "b")
         assert len(merged) == 3
 
     def test_merge_rejects_malformed_bodies(self, tmp_path):
@@ -201,7 +200,7 @@ class TestFederationRound:
             node_a.stop()
             node_b.stop()
         for directory in (tmp_path / "a", tmp_path / "b"):
-            cache = ResultCache(directory, backend="warm")
+            cache = ResultCache(directory)
             for key in (*keys_a, *keys_b):
                 assert cache.get(key) is not None, (directory, key)
 
@@ -226,8 +225,8 @@ class TestFederationRound:
         finally:
             node_a.stop()
             node_b.stop()
-        assert len(ResultCache(tmp_path / "a", backend="warm")) == 3
-        assert len(ResultCache(tmp_path / "b", backend="warm")) == 3
+        assert len(ResultCache(tmp_path / "a")) == 3
+        assert len(ResultCache(tmp_path / "b")) == 3
 
     def test_unreachable_node_fails_without_poisoning_the_round(
             self, tmp_path):
@@ -298,8 +297,8 @@ class TestCoordinatorFederation:
         finally:
             node_a.stop()
             node_b.stop()
-        assert len(ResultCache(tmp_path / "a", backend="warm")) == 4
-        assert len(ResultCache(tmp_path / "b", backend="warm")) == 4
+        assert len(ResultCache(tmp_path / "a")) == 4
+        assert len(ResultCache(tmp_path / "b")) == 4
 
     def test_federate_without_nodes_is_a_503(self, tmp_path):
         status, body, _health = asyncio.run(asyncio.wait_for(

@@ -3,21 +3,20 @@
 Shard runs and the serving front-end point many *processes* at one
 cache directory, so the invariant under test is: concurrent ``put`` and
 ``merge_from`` traffic over overlapping key sets never corrupts an
-entry (every file always parses and round-trips) and never drops one
-(every key written by anyone is present at the end).  On the legacy
-directory backend both paths publish through a temp file + atomic
-``os.replace``; on the warm backend every append runs under the log's
-advisory lock and compaction publishes a fresh log atomically — and a
-compactor and an evictor hammering the log *while* writers append must
-never lose a verified entry either.
+entry (every stored row always parses and round-trips) and never drops
+one (every key written by anyone is present at the end).  Every write
+is one SQLite transaction, and a compactor (``VACUUM``) and an evictor
+hammering the store *while* writers commit must never lose a verified
+entry either — nor may any writer or merger fail with "database is
+locked".
 """
 
-import json
 import multiprocessing
 import random
 
+from cache_rows import integrity, read_entry, stored_keys
 from repro.config import AnalysisConfig
-from repro.engine.cache import ResultCache
+from repro.engine.cache import DB_NAME, ResultCache
 from repro.engine.jobs import AnalysisJob, JobResult
 
 #: Distinct jobs in the shared key population.  Writers overlap fully:
@@ -83,15 +82,14 @@ def _run_processes(targets):
 
 
 def _assert_cache_intact(directory) -> None:
-    """Every expected key present, every file parses, every entry
+    """Every expected key present, every row parses, every entry
     round-trips into the result that some writer legitimately wrote."""
     cache = ResultCache(directory)
     expected = {_job(index).key: index for index in range(KEYS)}
-    on_disk = sorted(directory.glob("*.json"))
+    on_disk = stored_keys(directory)
     assert len(on_disk) == KEYS
-    for path in on_disk:
-        entry = json.loads(path.read_text())  # corrupt JSON would raise
-        key = path.name[:-len(".json")]
+    for key in on_disk:
+        entry = read_entry(directory, key)  # corrupt JSON would raise
         index = expected[key]
         result = cache.get(key)
         assert result is not None, "a stored entry must read back"
@@ -99,6 +97,7 @@ def _assert_cache_intact(directory) -> None:
         assert result.threshold_str == str(index)
         assert entry["result"]["message"] == f"soak entry {index}"
     assert cache.hits == KEYS and cache.misses == 0
+    assert integrity(directory) == "ok"
 
 
 class TestMultiWriterSoak:
@@ -142,18 +141,19 @@ class TestMultiWriterSoak:
         _run_processes([
             (_writer, (str(directory), seed)) for seed in range(WRITERS)
         ])
+        # Writers leave nothing beside the store (its -wal/-shm at most).
         strays = [p.name for p in directory.iterdir()
-                  if p.name.startswith(".tmp-")]
+                  if not p.name.startswith(DB_NAME)]
         assert strays == []
 
 
-# -- the warm tier under the same fire ---------------------------------------
+# -- maintenance under the same fire ------------------------------------------
 
 
 def _warm_writer(directory: str, seed: int) -> None:
-    # hot_capacity=0: this process must re-verify from the log every
-    # time, so it observes every compaction/eviction republish.
-    cache = ResultCache(directory, backend="warm", hot_capacity=0)
+    # hot_capacity=0: this process must re-verify from the store every
+    # time, so it observes every compaction/eviction.
+    cache = ResultCache(directory, hot_capacity=0)
     rng = random.Random(seed)
     for _round in range(ROUNDS):
         order = list(range(KEYS))
@@ -164,28 +164,28 @@ def _warm_writer(directory: str, seed: int) -> None:
 
 
 def _warm_compactor(directory: str, rounds: int) -> None:
-    cache = ResultCache(directory, backend="warm", hot_capacity=0)
+    cache = ResultCache(directory, hot_capacity=0)
     for _round in range(rounds):
         summary = cache.compact()
-        assert summary["aborted"] == 0, summary
+        assert summary["kept"] <= KEYS, summary
 
 
 def _warm_merger(destination: str, source: str) -> None:
-    cache = ResultCache(destination, backend="warm", hot_capacity=0)
+    cache = ResultCache(destination, hot_capacity=0)
     for _round in range(ROUNDS * 2):
         cache.merge_from(source)
 
 
 def _warm_evictor(directory: str, rounds: int) -> None:
-    cache = ResultCache(directory, backend="warm", hot_capacity=0)
+    cache = ResultCache(directory, hot_capacity=0)
     for _round in range(rounds):
         # A one-hour bound can never fire inside a test run: the
-        # eviction machinery (a compaction pass) runs, nothing may drop.
+        # eviction machinery (a DELETE pass) runs, nothing may drop.
         assert cache.evict(max_age_s=3600.0) == 0
 
 
 def _assert_warm_cache_intact(directory) -> None:
-    cache = ResultCache(directory, backend="warm")
+    cache = ResultCache(directory)
     assert len(cache) == KEYS
     for index in range(KEYS):
         result = cache.get(_job(index).key)
@@ -195,13 +195,13 @@ def _assert_warm_cache_intact(directory) -> None:
     assert cache.hits == KEYS and cache.misses == 0
     assert cache.corrupted == 0
     assert list(directory.glob("*.corrupt")) == []
+    assert integrity(directory) == "ok"
 
 
 class TestWarmTierSoak:
     def test_concurrent_writers_compactor_and_evictor(self, tmp_path):
-        """The tentpole invariant: appends, compactions and eviction
-        passes interleaving freely over one log never tear or drop a
-        verified entry."""
+        """Stores, compactions and eviction passes interleaving freely
+        over one store never tear or drop a verified entry."""
         directory = tmp_path / "warm-cache"
         _run_processes(
             [(_warm_writer, (str(directory), seed))
@@ -210,11 +210,10 @@ class TestWarmTierSoak:
                (_warm_evictor, (str(directory), ROUNDS * 2))]
         )
         _assert_warm_cache_intact(directory)
-        # A final compaction squeezes out every superseded record and
-        # the full population still reads back.
-        final = ResultCache(directory, backend="warm")
+        # A final compaction squeezes out every free page and the full
+        # population still reads back.
+        final = ResultCache(directory)
         summary = final.compact()
-        assert summary["aborted"] == 0
         assert summary["kept"] == KEYS
         _assert_warm_cache_intact(directory)
 

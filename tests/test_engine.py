@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cache_rows import write_entry_bytes
 from repro.config import AnalysisConfig, EngineConfig
 from repro.engine import (
     AnalysisJob,
@@ -92,10 +93,11 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_orphaned_temp_files_invisible(self, tmp_path):
+        # Stray files beside the store are neither entries nor touched.
         cache = ResultCache(tmp_path)
         ParallelExecutor(jobs=1, cache=cache).run([make_job()])
         (tmp_path / ".tmp-orphan.json").write_text("{}")
-        assert len(cache) == 1
+        assert len(ResultCache(tmp_path)) == 1
         assert cache.clear() == 1
         assert (tmp_path / ".tmp-orphan.json").exists()
 
@@ -120,7 +122,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         executor = ParallelExecutor(jobs=1, cache=cache)
         executor.run([make_job()])
-        cache.path_for(make_job().key).write_text("not json")
+        write_entry_bytes(tmp_path, make_job().key, b"not json")
         again = ParallelExecutor(jobs=1, cache=ResultCache(tmp_path))
         assert not again.run([make_job()])[0].cached
 

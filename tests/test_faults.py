@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from cache_rows import entry_bytes, integrity, read_entry, write_entry, \
+    write_entry_bytes
 from repro.config import AnalysisConfig, EngineConfig
 from repro.engine import AnalysisJob, ParallelExecutor, ResultCache, run_batch
 from repro.engine.batch import batch_to_json
@@ -360,57 +362,47 @@ class TestCacheCorruptionTolerance:
         assert cache.corrupted == 1
 
     def test_checksum_mismatch_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
         executor = ParallelExecutor(jobs=1, cache=cache)
         executor.run([make_job()])
-        path = cache.path_for(make_job().key)
-        entry = json.loads(path.read_text())
+        key = make_job().key
+        entry = read_entry(directory, key)
         entry["result"]["threshold"] = 999.0  # bit rot, checksum stale
-        path.write_text(json.dumps(entry))
-        assert cache.get(make_job().key) is None
+        write_entry(directory, key, entry)
+        assert cache.get(key) is None
         assert cache.corrupted == 1
-        assert path.with_suffix(".corrupt").exists()
+        assert (directory / f"{key}.corrupt").exists()
+        assert entry_bytes(directory, key) is None
 
     def test_legacy_entry_without_checksum_is_plain_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
         executor = ParallelExecutor(jobs=1, cache=cache)
         executor.run([make_job()])
-        path = cache.path_for(make_job().key)
-        entry = json.loads(path.read_text())
+        key = make_job().key
+        entry = read_entry(directory, key)
         del entry["checksum"]
-        path.write_text(json.dumps(entry))
-        assert cache.get(make_job().key) is None
+        write_entry(directory, key, entry)
+        assert cache.get(key) is None
         assert cache.corrupted == 0  # unverifiable, not corrupt
-        assert path.exists()  # left in place for the rewriting store
+        # Left in place for the rewriting store.
+        assert entry_bytes(directory, key) is not None
         # The next run re-executes and rewrites a verifiable entry.
         result = executor.run([make_job()])[0]
         assert not result.cached
-        assert "checksum" in json.loads(path.read_text())
+        assert "checksum" in read_entry(directory, key)
         assert executor.run([make_job()])[0].cached
 
-    def test_stale_temps_swept_on_open_fresh_ones_kept(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        for name in (".tmp-dead1.json", ".tmp-dead2.json"):
-            stale = directory / name
-            stale.write_text("{")
-            hour_ago = time.time() - 3600
-            os.utime(stale, (hour_ago, hour_ago))
-        (directory / ".tmp-live.json").write_text("{}")
-        cache = ResultCache(directory)
-        assert cache.temp_swept == 2
-        remaining = {p.name for p in directory.glob(".tmp-*")}
-        assert remaining == {".tmp-live.json"}  # live writer not raced
-        assert cache.stats()["temp_swept"] == 2
-
     def test_merge_skips_corrupt_source_entries(self, tmp_path):
-        source = ResultCache(tmp_path / "source")
+        source_dir = tmp_path / "source"
+        source = ResultCache(source_dir)
         ParallelExecutor(jobs=1, cache=source).run([make_job()])
-        path = source.path_for(make_job().key)
-        entry = json.loads(path.read_text())
+        key = make_job().key
+        entry = read_entry(source_dir, key)
         entry["result"]["threshold"] = 999.0
-        path.write_text(json.dumps(entry))
-        (tmp_path / "source" / "nonsense.json").write_text("}{")
+        write_entry(source_dir, key, entry)
+        write_entry_bytes(source_dir, "nonsense", b"}{")
         destination = ResultCache(tmp_path / "destination")
         assert destination.merge_from(tmp_path / "source") == 0
         assert len(destination) == 0
@@ -418,53 +410,58 @@ class TestCacheCorruptionTolerance:
 
 
 class TestWarmTierFaults:
-    """The warm append-log under the same chaos sites: a torn or
-    scribbled record costs one re-execution, and a compaction crash
-    (``cache.torn_write`` with ``name="compact"``) never loses a
-    verified entry — the pre-compaction log stays published."""
+    """The store behind the hot tier under the same chaos sites: a torn
+    or scribbled entry costs one re-execution, and a compaction killed
+    partway through its ``VACUUM`` never loses a verified entry — the
+    interrupted transaction simply never commits."""
 
     def test_compaction_crash_never_loses_a_verified_entry(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", backend="warm")
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
         executor = ParallelExecutor(jobs=1, cache=cache)
         first = executor.run([make_job()])[0]
         assert first.status == "ok"
         assert executor.run([make_job()])[0].cached  # disk-verified
 
-        plan = FaultPlan(rules=(
-            FaultRule(site="cache.torn_write", name="compact",
-                      times=1, max_attempts=0),
-        ))
-        set_plan(plan)
-        generation = cache.warm.generation
-        summary = cache.compact()
-        assert plan.fired() == 1
-        assert summary["aborted"] == 1  # crashed before publish
+        pid = os.fork()
+        if pid == 0:  # a compactor that dies halfway through
+            try:
+                dying = ResultCache(directory)
+                steps = iter(range(150))  # a VACUUM here takes ~300
 
-        # Nothing was published, nothing was lost: a fresh handle
-        # (cold hot tier) still replays the verified entry.
-        fresh = ResultCache(tmp_path / "cache", backend="warm")
-        assert fresh.warm.generation == generation
+                def crash_partway():
+                    if next(steps, None) is None:
+                        os._exit(7)
+                    return 0
+
+                dying._db().set_progress_handler(crash_partway, 1)
+                dying.compact()
+            finally:
+                os._exit(0)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 7
+
+        # Nothing was lost: a fresh handle (cold hot tier) still
+        # replays the verified entry.
+        fresh = ResultCache(directory)
         replay = fresh.get(make_job().key)
         assert replay is not None
         assert replay.threshold == first.threshold
 
-        # Fault budget spent: the retried compaction publishes, and the
-        # entry survives that too.
-        summary = cache.compact()
-        assert summary["aborted"] == 0 and summary["kept"] == 1
-        assert ResultCache(tmp_path / "cache",
-                           backend="warm").get(make_job().key) is not None
+        # The retried compaction completes, and the entry survives it.
+        assert cache.compact()["kept"] == 1
+        assert ResultCache(directory).get(make_job().key) is not None
+        assert integrity(directory) == "ok"
 
     def test_warm_torn_write_costs_one_reexecution(self, tmp_path):
         plan = FaultPlan(rules=(
             FaultRule(site="cache.torn_write", times=1, max_attempts=0),
         ))
         set_plan(plan)
-        cache = ResultCache(tmp_path / "cache", backend="warm")
+        cache = ResultCache(tmp_path / "cache")
         executor = ParallelExecutor(jobs=1, cache=cache)
         first = executor.run([make_job()])[0]
         assert first.status == "ok"
-        assert plan.fired() == 1  # the appended record really was torn
+        assert plan.fired() == 1  # the stored entry really was torn
 
         second = executor.run([make_job()])[0]
         assert second.status == "ok"
@@ -481,7 +478,7 @@ class TestWarmTierFaults:
                       max_attempts=0),
         ))
         set_plan(plan)
-        cache = ResultCache(tmp_path / "cache", backend="warm")
+        cache = ResultCache(tmp_path / "cache")
         executor = ParallelExecutor(jobs=1, cache=cache)
         executor.run([make_job()])
         result = executor.run([make_job()])[0]

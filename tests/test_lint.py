@@ -186,6 +186,11 @@ class TestForkSafetyChecker:
         assert {"writes an item of", "calls .add() on", "rebinds",
                 "deletes an item of"} <= hows
 
+    def test_qualified_constructor_globals_are_tracked(self, findings):
+        active, _ = by_rule(findings, "mutable-global-write")
+        assert any("_HANDLES" in f.message and "register" in f.message
+                   for f in active)
+
     def test_local_shadow_and_reads_are_quiet(self, findings):
         assert not [f for f in findings
                     if "local_shadow" in f.message

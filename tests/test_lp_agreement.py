@@ -434,9 +434,10 @@ class TestSolverRevisionInCacheKey:
         job = AnalysisJob(kind="single", old_source="x := 1")
         result = JobResult(job_key=job.key, name="", kind="single",
                            status="ok", outcome="threshold")
+        from cache_rows import read_entry
+
         cache = ResultCache(tmp_path)
         assert cache.put(job, result)
-        import json
-        entry = json.loads(cache.path_for(job.key).read_text())
+        entry = read_entry(tmp_path, job.key)
         assert "lp_solver" in entry["job"]
         assert entry["job"]["lp_solver"]["backend"] == "scipy"

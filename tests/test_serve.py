@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from cache_rows import read_entry, stored_keys
 from repro.config import AnalysisConfig, EngineConfig, ServeConfig
 from repro.engine import ResultCache, run_batch, shard_pairs, discover_pairs
 from repro.engine.batch import batch_to_json
@@ -507,17 +508,17 @@ class TestShardMerge:
         copied = merge_caches(str(merged_cache),
                               [str(path) for path in shard_caches])
         assert copied == len(ResultCache(whole_cache))
-        names = {p.name for p in merged_cache.glob("*.json")}
-        assert names == {p.name for p in whole_cache.glob("*.json")}
-        for path in sorted(merged_cache.glob("*.json")):
-            ours = json.loads(path.read_text())
-            theirs = json.loads((whole_cache / path.name).read_text())
+        keys = stored_keys(merged_cache)
+        assert keys == stored_keys(whole_cache)
+        for key in keys:
+            ours = read_entry(merged_cache, key)
+            theirs = read_entry(whole_cache, key)
             for entry in (ours, theirs):
                 entry["result"].pop("seconds")
                 entry["result"].pop("timings")
                 # Derived from the full (volatile-bearing) result.
                 entry.pop("checksum")
-            assert ours == theirs, path.name
+            assert ours == theirs, key
 
     def test_sharded_portfolio_merge_matches_unsharded(self, tmp_path):
         _write_pairs(tmp_path / "batch", PAIRS[:3])
