@@ -69,8 +69,10 @@ def default_witnesses(old_system: TransitionSystem,
     choices: list[list[int]] = []
     for var in variables:
         interval = theta0.var_bounds(var)
-        low = 0 if interval.lower is None else int(interval.lower)
-        high = low if interval.upper is None else int(interval.upper)
+        # Exact ceil/floor: a fractional bound (``1 <= 2 * n``) rounded
+        # toward zero would put the corner outside Θ0.
+        low = 0 if interval.lower is None else -(-interval.lower // 1)
+        high = low if interval.upper is None else interval.upper // 1
         choices.append([low] if low == high else [low, high])
 
     candidates: list[dict[str, int]] = []

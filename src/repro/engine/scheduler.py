@@ -140,6 +140,10 @@ def _worker_main(conn, heartbeat: float = 1.0) -> None:
     from repro.engine.executor import execute_job
     from repro.faults import active_plan, fault_point
 
+    # The pool kills workers with SIGTERM; an inherited handler (the
+    # serve loop's no-op, the CLI's KeyboardInterrupt) would ignore it
+    # or print a traceback.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         # A parent event loop's wakeup fd (asyncio's self-pipe) is
         # inherited as process-wide signal state; once the scrub closes

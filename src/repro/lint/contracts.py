@@ -159,9 +159,11 @@ DEFAULT_CONTRACTS = Contracts(
         "repro/faults/*",
     ),
     approved_signal_sites=(
-        # The executor's SIGALRM job-timeout path (worker side) and the
+        # The executor's SIGALRM job-timeout path (worker side), the
+        # pool worker's reset of an inherited SIGTERM handler, and the
         # CLI's SIGTERM-as-interrupt context manager (parent side).
         ("repro/engine/executor.py", "*"),
+        ("repro/engine/scheduler.py", "_worker_main"),
         ("repro/cli.py", "_sigterm_as_interrupt"),
     ),
     approved_global_writers=(

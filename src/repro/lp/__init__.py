@@ -8,7 +8,8 @@ registry of interchangeable backends:
   ``scipy.optimize.linprog`` with the HiGHS method (the stand-in for
   the paper's Gurobi);
 - :class:`RevisedSimplexBackend` (``exact``) — sparse revised simplex
-  over exact rationals (Dantzig pricing, Bland fallback);
+  over exact rationals (Dantzig pricing, Bland fallback; reduced costs
+  priced once per phase and kept across pivots by pivot-row updates);
 - :class:`WarmStartExactBackend` (``exact-warm``) — float warm start
   (HiGHS or the revised simplex over floats) whose candidate basis is
   refactorized and certified — or repaired — in exact arithmetic;
@@ -20,7 +21,8 @@ under the name ``"exact"``.
 
 All sparse exact solvers share one basis kernel
 (:class:`~repro.lp.basis.BasisFactorization`: sparse LU + eta-file
-updates with periodic refactorization) and one dual simplex
+updates with periodic refactorization), one pricing scheme (the kept
+reduced costs of :mod:`repro.lp.revised`) and one dual simplex
 (:mod:`repro.lp.dual`).  :class:`~repro.lp.dual.IncrementalLP` exposes
 them as an incremental re-solve API — one standardization and (mostly)
 one factorization across many objectives or bound tweaks — used by the

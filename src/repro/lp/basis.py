@@ -2,7 +2,8 @@
 
 The revised simplex needs two linear-algebra kernels per iteration:
 ``ftran`` (``x = B^{-1} a``, the entering column in basis coordinates)
-and ``btran`` (``y = B^{-T} c``, the simplex multipliers).  The seed
+and ``btran`` (``y = B^{-T} c``: the simplex multipliers, or for a unit
+``c`` a row of ``B^{-1}``, from which the pivot row is built).  The seed
 kept ``B^{-1}`` as an explicit dense matrix and rebuilt it with
 elementary row operations on every pivot — ``O(m^2)`` arithmetic (on
 ever-growing ``Fraction``s in exact mode) per pivot even when the basis

@@ -279,8 +279,8 @@ class WarmStartExactBackend:
 
     def solve(self, model: LPModel) -> LPSolution:
         """Solve ``model`` exactly; all reported values are Fractions."""
-        form = standardize(model)
         stats: dict = {"path": None}
+        form = standardize(model, stats)
         if form.num_rows == 0:
             solution = _no_constraint_solution(model, form)
             stats["path"] = "certified"

@@ -16,7 +16,8 @@ restarting from scratch throws away a perfectly good factorization:
 :class:`~repro.lp.basis.BasisFactorization` the primal pivots use:
 pick the most-violated basic value (a basic artificial off zero counts
 as violated in either direction — it means ``A x = b`` is not met), a
-dual ratio test over the exact reduced costs chooses the entering
+dual ratio test over that row's pivot row and the exact reduced costs
+(kept across pivots as in the primal solver) chooses the entering
 column, and the shared ``_pivot`` pushes an eta.  Anti-cycling mirrors
 the primal solver: after ``bland_trigger`` consecutive degenerate
 steps the leaving rule switches to Bland's smallest-basic-index choice
@@ -77,29 +78,11 @@ def exact_dual_feasible(solver: RevisedSimplex, costs: list) -> bool:
 
     Exact for ``Fraction`` solvers; float solvers use their pricing
     tolerance.  A dual feasible basis is a valid dual-simplex start.
+    The pricing sweep is the rational certification step proper, so it
+    is timed as ``time_certify``.
     """
-    cb = [costs[b] for b in solver.basis]
-    y = solver._btran(cb)
-    # The reduced-cost sweep is the rational certification step proper
-    # (the btran above is accounted to time_btran by the kernel).
-    start = perf_counter()
-    try:
-        threshold = -solver.dual_tol
-        for j in range(solver.n):
-            if solver.in_basis[j]:
-                continue
-            reduced = costs[j]
-            for i, a in solver.cols[j].items():
-                yi = y[i]
-                if yi:
-                    reduced = reduced - yi * a
-            if reduced < threshold:
-                return False
-        return True
-    finally:
-        solver.stats["time_certify"] = (
-            solver.stats.get("time_certify", 0.0) + perf_counter() - start
-        )
+    d = solver._reduced_costs(costs, timer="time_certify")
+    return solver._entering(d, bland=True) < 0
 
 
 def run_dual_simplex(solver: RevisedSimplex, costs: list) -> str:
@@ -121,7 +104,8 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
     solver.phase = 2
     m, n = solver.m, solver.n
     feas, ptol = solver.feas_tol, solver.pivot_tol
-    zero = solver.zero
+    in_basis = solver.in_basis
+    d = solver._reduced_costs(costs)
     bland = False
     degenerate_run = 0
     for _ in range(solver.max_iterations):
@@ -152,34 +136,21 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
         if leaving < 0:
             return OPTIMAL
 
-        rho = solver.fact.btran_unit(leaving)
-        if sign < 0:
-            rho = [-value for value in rho]
-        cb = [costs[b] for b in solver.basis]
-        y = solver._btran(cb)
-        # Dual ratio test: entering minimizes reduced_cost / -alpha over
-        # alpha < 0; smallest index on ties (required for termination
-        # under the Bland leaving rule, and deterministic).
+        alpha = solver._pivot_row(leaving)
+        # Dual ratio test over the row oriented by ``sign``: entering
+        # minimizes d_j / -alpha_j over alpha_j < 0; smallest index on
+        # ties (required for termination under the Bland leaving rule,
+        # and deterministic).
         start = perf_counter()
         best_j, best_ratio = -1, None
-        for j in range(n):
-            if solver.in_basis[j]:
+        for j, a in alpha.items():
+            if sign < 0:
+                a = -a
+            if a >= -ptol or in_basis[j]:
                 continue
-            col = solver.cols[j]
-            alpha = zero
-            for i, a in col.items():
-                ri = rho[i]
-                if ri:
-                    alpha = alpha + ri * a
-            if alpha >= -ptol:
-                continue
-            reduced = costs[j]
-            for i, a in col.items():
-                yi = y[i]
-                if yi:
-                    reduced = reduced - yi * a
-            ratio = reduced / (-alpha)
-            if best_ratio is None or ratio < best_ratio:
+            ratio = d[j] / (-a)
+            if (best_ratio is None or ratio < best_ratio
+                    or (ratio == best_ratio and j < best_j)):
                 best_j, best_ratio = j, ratio
         solver.stats["time_pricing"] += perf_counter() - start
         if best_j < 0:
@@ -187,6 +158,7 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
 
         w = solver._ftran(solver.cols[best_j])
         solver._pivot(leaving, best_j, w)
+        solver._update_reduced_costs(d, alpha, best_j)
         solver.stats["pivots"] += 1
         solver.stats["dual_pivots"] += 1
         if bland:
@@ -242,7 +214,8 @@ class IncrementalLP:
                  max_iterations: int = 200_000, bland_trigger: int = 192,
                  eta_limit: int | None = None):
         self.model = model
-        self.form = standardize(model)
+        standardize_stats: dict = {}
+        self.form = standardize(model, standardize_stats)
         self.float_assist = float_assist
         self.max_iterations = max_iterations
         self.bland_trigger = bland_trigger
@@ -263,7 +236,7 @@ class IncrementalLP:
         self._counted: dict[str, float] = {}
         self.stats: dict[str, object] = {
             "solves": 0, "cold_solves": 0, "resolves": 0,
-            "dual_resolves": 0, "max_eta": 0,
+            "dual_resolves": 0, "max_eta": 0, **standardize_stats,
         }
         for key in _SOLVER_COUNTERS:
             self.stats[key] = 0

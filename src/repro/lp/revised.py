@@ -20,6 +20,13 @@ degenerate plateaus of these LPs, entering columns picked from a stale
 bank more than doubled the pivot count — global Dantzig pays for
 itself here.)
 
+The reduced costs ``d`` are priced once per phase and then kept: each
+pivot builds its pivot row ``alpha = e_r^T B^{-1} A`` (a unit-vector
+``btran``, then a row-wise view of the columns) and applies
+``d_j -= (d_q / alpha_q) alpha_j``.  Over ``Fraction`` the kept vector
+equals a fresh pricing, so every pivot choice is the one full pricing
+would make.  Float mode reprices every pivot: float updates drift.
+
 The same code runs over floats (``float_mode=True``) with small
 tolerances; the float run is never trusted for answers — it only
 produces candidate bases for :mod:`repro.lp.certify` to verify exactly.
@@ -112,6 +119,12 @@ class RevisedSimplex:
                 for i in col:
                     if i in flip:
                         col[i] = -col[i]
+        #: Row-wise view of the structural columns, ``{column: value}``
+        #: per row, for pivot rows; columns never change after this.
+        self.rows: list[dict[int, object]] = [{} for _ in range(self.m)]
+        for j, col in enumerate(self.cols):
+            for i, a in col.items():
+                self.rows[i][j] = a
         for row in range(self.m):
             self.cols.append({row: self.one})  # artificial e_row
         self.costs = [convert(v) for v in form.costs]
@@ -156,35 +169,71 @@ class RevisedSimplex:
         """``w = B^{-1} a`` for a sparse column ``a``."""
         return self.fact.ftran(col)
 
-    def _btran(self, cb: list[object]) -> list[object]:
-        """``y = B^{-T} cb`` for the basic cost vector ``cb``."""
-        return self.fact.btran(cb)
+    # -- pricing -----------------------------------------------------------
 
-    def _price(self, costs: list[object], y: list[object],
-               bland: bool) -> int:
+    def _reduced_costs(self, costs: list[object],
+                       timer: str = "time_pricing") -> list[object]:
+        """Reduced costs ``c_j - y.a_j`` of the structural columns from
+        scratch (``y = B^{-T} c_B``); basic entries are zero."""
+        y = self.fact.btran([costs[b] for b in self.basis])
+        start = perf_counter()
+        d = [self.zero] * self.n
+        for j in range(self.n):
+            if self.in_basis[j]:
+                continue
+            reduced = costs[j]
+            for i, a in self.cols[j].items():
+                yi = y[i]
+                if yi:
+                    reduced = reduced - yi * a
+            d[j] = reduced
+        self.stats[timer] += perf_counter() - start
+        return d
+
+    def _pivot_row(self, row: int) -> dict[int, object]:
+        """``{column: alpha_j}`` of ``e_row^T B^{-1} A`` over the
+        structural columns, basic ones included (may hold zeros)."""
+        rho = self.fact.btran_unit(row)
+        start = perf_counter()
+        alpha: dict[int, object] = {}
+        for i, ri in enumerate(rho):
+            if ri:
+                for j, a in self.rows[i].items():
+                    if j in alpha:
+                        alpha[j] = alpha[j] + ri * a
+                    else:
+                        alpha[j] = ri * a
+        self.stats["time_pricing"] += perf_counter() - start
+        return alpha
+
+    def _update_reduced_costs(self, d: list[object],
+                              alpha: dict[int, object],
+                              entering: int) -> None:
+        """Carry ``d`` across the pivot that made ``entering`` basic,
+        given that pivot's row ``alpha`` from before or after it (the
+        update is scale-invariant); ``d_q`` drops to zero."""
+        start = perf_counter()
+        ratio = d[entering] / alpha[entering]
+        if ratio:
+            for j, a in alpha.items():
+                if a:
+                    d[j] = d[j] - ratio * a
+        self.stats["time_pricing"] += perf_counter() - start
+
+    def _entering(self, d: list[object], bland: bool) -> int:
         """Entering column (structural only), or -1 if dual feasible."""
         start = perf_counter()
-        try:
-            best_j = -1
-            best_reduced = None
-            in_basis = self.in_basis
-            threshold = -self.dual_tol
-            for j in range(self.n):
-                if in_basis[j]:
-                    continue
-                reduced = costs[j]
-                for i, a in self.cols[j].items():
-                    yi = y[i]
-                    if yi:
-                        reduced = reduced - yi * a
-                if reduced < threshold:
-                    if bland:
-                        return j  # smallest improving index
-                    if best_reduced is None or reduced < best_reduced:
-                        best_j, best_reduced = j, reduced
-            return best_j
-        finally:
-            self.stats["time_pricing"] += perf_counter() - start
+        best_j, best = -1, None
+        threshold = -self.dual_tol
+        for j, reduced in enumerate(d):  # basic entries are zero
+            if reduced < threshold:
+                if bland:
+                    best_j = j  # smallest improving index
+                    break
+                if best is None or reduced < best:
+                    best_j, best = j, reduced
+        self.stats["time_pricing"] += perf_counter() - start
+        return best_j
 
     def _ratio_test(self, w: list[object]) -> int:
         """Leaving row for the entering direction ``w``; -1 = unbounded.
@@ -253,10 +302,6 @@ class RevisedSimplex:
         self.xb = self.fact.ftran_dense(self.b)
         return True
 
-    def _ftran_dense(self, vec: list[object]) -> list[object]:
-        """``B^{-1} v`` for a dense vector ``v``."""
-        return self.fact.ftran_dense(vec)
-
     # -- simplex driver ---------------------------------------------------
 
     @exact_method("lp-phase")
@@ -268,12 +313,13 @@ class RevisedSimplex:
         bland = False
         degenerate_run = 0
         spent = 0
+        d = None
         for _ in range(self.max_iterations):
             if pivot_budget is not None and spent >= pivot_budget:
                 return PIVOT_LIMIT
-            cb = [costs[b] for b in self.basis]
-            y = self._btran(cb)
-            entering = self._price(costs, y, bland)
+            if d is None:
+                d = self._reduced_costs(costs)
+            entering = self._entering(d, bland)
             if entering < 0:
                 return OPTIMAL
             w = self._ftran(self.cols[entering])
@@ -281,6 +327,11 @@ class RevisedSimplex:
             if leaving < 0:
                 return UNBOUNDED
             theta = self._pivot(leaving, entering, w)
+            if self.float_mode:
+                d = None  # floats drift: reprice from scratch
+            else:
+                self._update_reduced_costs(d, self._pivot_row(leaving),
+                                           entering)
             spent += 1
             self.stats["pivots"] += 1
             self.stats[f"phase{phase}_pivots"] += 1
@@ -302,24 +353,15 @@ class RevisedSimplex:
         """Pivot zero-level basic artificials out where a structural
         column can replace them; rows where none can are redundant and
         stay pinned behind the phase-2 ratio test."""
+        tol = self.pivot_tol
         for row in range(self.m):
             if self.basis[row] < self.n:
                 continue
-            binv_row = self.fact.btran_unit(row)
-            start = perf_counter()
-            replacement = -1
-            for j in range(self.n):
-                if self.in_basis[j]:
-                    continue
-                value = self.zero
-                for i, a in self.cols[j].items():
-                    ri = binv_row[i]
-                    if ri:
-                        value = value + ri * a
-                if value > self.pivot_tol or value < -self.pivot_tol:
-                    replacement = j
-                    break
-            self.stats["time_pricing"] += perf_counter() - start
+            replacement = min(
+                (j for j, a in self._pivot_row(row).items()
+                 if (a > tol or a < -tol) and not self.in_basis[j]),
+                default=-1,
+            )
             if replacement >= 0:
                 self._pivot(row, replacement, self._ftran(self.cols[replacement]))
 
@@ -404,13 +446,15 @@ class RevisedSimplexBackend:
 
     def solve(self, model: LPModel) -> LPSolution:
         """Solve ``model`` exactly; all reported values are Fractions."""
-        form = standardize(model)
+        timing: dict = {}
+        form = standardize(model, timing)
         if form.num_rows == 0:
             return _no_constraint_solution(model, form)
         solver = RevisedSimplex(
             form, max_iterations=self._max_iterations,
             bland_trigger=self._bland_trigger,
         )
+        solver.stats.update(timing)
         status = solver.solve_two_phase()
         if status is INFEASIBLE:
             return LPSolution(LPStatus.INFEASIBLE,

@@ -150,6 +150,11 @@ async def handle_http_client(reader: asyncio.StreamReader,
         status, payload = 400, {"error": "oversized or malformed request"}
     except ConnectionError:
         status = None
+    except asyncio.CancelledError:
+        # The server stopped under this request: refuse it as a draining
+        # server refuses work, and end normally (the stream protocol
+        # logs a cancelled handler task as an unhandled error).
+        status, payload = 503, {"error": "server stopped before answering"}
     finally:
         if status is not None:
             try:
@@ -482,7 +487,8 @@ class AnalysisServer:
         if entry.waiters > 0 or entry.future.done():
             return
         self._inflight.pop(entry.key, None)
-        self._bridge.cancel(entry.key)
+        if self._bridge is not None:  # None once stop() tore it down
+            self._bridge.cancel(entry.key)
         entry.future.cancel()
 
     # -- request handling --------------------------------------------------

@@ -133,6 +133,33 @@ class TestWitnessDeduplication:
         keys = [tuple(sorted(w.items())) for w in witnesses]
         assert len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("assumption, loop, corners", [
+        # Θ0 is 1/2 <= n <= 9/2: the integer corners are 1 and 4.
+        ("1 <= 2 * n && 2 * n <= 9", "i < n", {1, 4}),
+        # Θ0 is -9/2 <= n <= -1/2: the integer corners are -4 and -1.
+        ("-9 <= 2 * n && 2 * n <= -1", "i < 0 - n", {-4, -1}),
+    ])
+    def test_fractional_bounds_round_inward(self, assumption, loop,
+                                            corners):
+        source = f"""
+        proc p(n) {{
+          assume({assumption});
+          var i = 0;
+          while ({loop}) {{ tick(1); i = i + 1; }}
+        }}
+        """
+        program = load_program(source, name="fractional")
+        analyzer = DiffCostAnalyzer(program, program)
+        theta0 = Polyhedron(analyzer.combined_theta0())
+        witnesses = default_witnesses(
+            analyzer.old_system, analyzer.new_system, theta0
+        )
+        values = {w["n"] for w in witnesses}
+        assert corners <= values
+        # Corners plus the center, all inside Θ0.
+        assert len(values) == 3
+        assert all(theta0.contains_point(w) for w in witnesses)
+
 
 class TestThresholdSearch:
     def test_probes_match_the_minimized_threshold(self, dis2_pair):

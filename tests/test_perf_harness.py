@@ -198,12 +198,29 @@ class TestPerfCli:
             "--backends", "exact,exact-warm", "--output", str(out),
         ])
         assert code == 0
-        # The report it just wrote is a passing baseline for itself.
+        report = json.loads(out.read_text())
+        # A report is a passing baseline for itself.
+        assert compare_reports(report, report) == []
+        # The CLI passes the gate against that report once its tracked
+        # timings sit above anything a rerun reaches.  (A rerun raced
+        # against the first run's timings near the 50 ms noise floor
+        # fails on one scheduler burst; regressions are caught by
+        # test_perf_baseline_gate_fails_on_regression.)
+        summary = report["summary"]
+        summary["seconds_total"] = dict.fromkeys(summary["seconds_total"],
+                                                 3600.0)
+        refutation = report["refutation"]
+        refutation["summary"]["seconds_total"] = dict.fromkeys(
+            refutation["summary"]["seconds_total"], 3600.0)
+        for row in refutation["rows"]:
+            row["incremental"]["seconds"] = 3600.0
+        generous = tmp_path / "generous.json"
+        generous.write_text(json.dumps(report))
         rerun = tmp_path / "BENCH_lp2.json"
         code = main([
             "perf", "--names", "simple_single",
             "--backends", "exact,exact-warm", "--output", str(rerun),
-            "--baseline", str(out),
+            "--baseline", str(generous),
         ])
         assert code == 0
         assert "baseline ok" in capsys.readouterr().out

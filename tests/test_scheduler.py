@@ -1,6 +1,8 @@
 """Tests of the long-lived worker pool and cross-pair escalation
 scheduler (`repro.engine.scheduler`)."""
 
+import asyncio
+import signal
 import time
 from fractions import Fraction
 
@@ -174,6 +176,45 @@ class TestWorkerPool:
     def test_size_validation(self):
         with pytest.raises(AnalysisError):
             WorkerPool(0)
+
+
+class TestWorkerSignals:
+    """Workers restore SIGTERM's default action: the pool kills with
+    SIGTERM whatever handler the parent had installed when it forked."""
+
+    @staticmethod
+    def _cancel_running_job():
+        with WorkerPool(1) as pool:
+            task = pool.submit(nested_job())
+            deadline = time.time() + 10
+            while not pool._workers and time.time() < deadline:
+                time.sleep(0.01)
+            process = pool._workers[0].process
+            time.sleep(0.3)  # well inside the seconds-long job
+            assert pool.cancel(task) is True
+            process.join(10)
+            return process
+
+    def test_cancel_kills_a_worker_forked_under_an_asyncio_handler(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, lambda: None)
+            try:
+                return self._cancel_running_job()
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        process = asyncio.run(scenario())
+        assert not process.is_alive()
+        assert process.exitcode == -signal.SIGTERM
+
+    def test_cancel_under_the_cli_handler_prints_no_traceback(self, capfd):
+        from repro.cli import _sigterm_as_interrupt
+
+        with _sigterm_as_interrupt():
+            process = self._cancel_running_job()
+        assert process.exitcode == -signal.SIGTERM
+        assert "KeyboardInterrupt" not in capfd.readouterr().err
 
 
 class TestEscalationScheduler:
