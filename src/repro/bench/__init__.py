@@ -1,10 +1,11 @@
 """The benchmark suite of the paper's evaluation (Table 1 + Fig. 1).
 
-The 19 program pairs of Table 1 are reconstructions (see DESIGN.md §4):
-the original artifacts are not available offline, so each pair was
-rebuilt from the source papers' looping patterns and the paper's own
-pairing recipe, calibrated to the same "Tight" thresholds under the same
-``[1, 100]`` input boxes.
+The 19 program pairs of Table 1 are reconstructions: the original
+artifacts are not available offline, so each pair was rebuilt from the
+source papers' looping patterns and the paper's own pairing recipe,
+calibrated to the same "Tight" thresholds under the same ``[1, 100]``
+input boxes (each pair's ground truth is the ``tight`` field of its
+:class:`~repro.bench.suite.BenchmarkPair`).
 """
 
 from repro.bench.suite import (

@@ -1,11 +1,12 @@
 """A polyhedra-lite abstract domain: conjunctions of affine inequalities.
 
-Operations are implemented with exact rational LPs
-(:class:`~repro.lp.revised.RevisedSimplexBackend`), so the domain is
-sound by construction — no floating-point tolerance enters invariant
-generation.  The join is the *weak join* (mutual entailment filter),
-which over-approximates the convex hull; widening is the standard
-constraint-dropping widening.  Existential projection uses
+Every semantic query — emptiness, entailment, minimization, redundancy
+pruning — is decided exactly through the query's Farkas dual
+(:mod:`repro.invariants.farkas`), a tiny integer LP with one row per
+program variable; no floating-point solver or tolerance enters
+invariant generation.  The join is the *weak join* (mutual entailment
+filter), which over-approximates the convex hull; widening is the
+standard constraint-dropping widening.  Existential projection uses
 Fourier-Motzkin elimination with eager redundancy pruning.
 """
 
@@ -14,25 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from repro.invariants.farkas import (
+    EMPTY,
+    EMPTY_OR_UNBOUNDED,
+    OPTIMAL,
+    dual_minimum,
+    farkas_empty,
+)
 from repro.invariants.intervals import Interval, polynomial_range
-from repro.lp.model import LPModel
-from repro.lp.scipy_backend import ScipyBackend
-from repro.lp.revised import RevisedSimplexBackend
-from repro.lp.solution import LPStatus
 from repro.poly.polynomial import Polynomial
 from repro.ts.guards import LinIneq
 from repro.ts.system import COST_VAR, NondetUpdate, Transition
 
-_SOLVER = RevisedSimplexBackend()
-_FLOAT_SOLVER = ScipyBackend()
 _POST_SUFFIX = "!post"
-
-# Hybrid solving: HiGHS answers the (tiny) entailment/emptiness LPs fast;
-# verdicts within _MARGIN of the decision boundary — and every verdict
-# whose error would make the abstract domain *unsound* (claimed
-# entailment, claimed emptiness) that is not clear-cut — are re-decided
-# with the exact rational simplex.
-_MARGIN = 1e-6
 
 # Memo tables (polyhedra are immutable value objects, so results are
 # shared freely across instances with equal constraint sets).
@@ -44,7 +39,7 @@ _CACHE_LIMIT = 200_000
 class Polyhedron:
     """An immutable conjunction of :class:`LinIneq` (or bottom)."""
 
-    __slots__ = ("_ineqs", "_bottom")
+    __slots__ = ("_ineqs", "_bottom", "_rows")
 
     def __init__(self, ineqs: Iterable[LinIneq] = (), bottom: bool = False):
         normalized: list[LinIneq] = []
@@ -60,6 +55,7 @@ class Polyhedron:
             normalized.append(canonical)
         self._bottom = bottom
         self._ineqs: tuple[LinIneq, ...] = () if bottom else tuple(normalized)
+        self._rows: tuple | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -102,64 +98,87 @@ class Polyhedron:
             return False
         return all(ineq.holds(valuation) for ineq in self._ineqs)
 
-    # -- LP-backed queries ------------------------------------------------
+    # -- exact queries (through the Farkas dual) -----------------------------
 
-    def _feasibility_model(self) -> LPModel:
-        model = LPModel()
-        for ineq in self._ineqs:
-            model.add_inequality(ineq.expr)
-        return model
+    def _matrix(self) -> tuple[dict[str, int], list[list[int]], list[int]]:
+        """``(variable positions, rows a_i, constants b_i)`` with
+        ``a_i·x + b_i >= 0`` for each constraint, built once.
+        Normalized constraints have coprime integer coefficients."""
+        if self._rows is None:
+            position = {name: k
+                        for k, name in enumerate(sorted(self.variables))}
+            rows: list[list[int]] = []
+            for ineq in self._ineqs:
+                row = [0] * len(position)
+                for name, coeff in ineq.expr.coefficients():
+                    row[position[name]] = coeff.numerator
+                rows.append(row)
+            constants = [ineq.expr.constant_term.numerator
+                         for ineq in self._ineqs]
+            self._rows = (position, rows, constants)
+        return self._rows
 
-    def is_empty(self) -> bool:
-        """Semantic emptiness (hybrid float/exact feasibility LP).
+    def _dual_minimum(self, expr) -> tuple[str, Fraction | None]:
+        """:func:`~repro.invariants.farkas.dual_minimum` of ``expr``
+        (constant included) over the constraints."""
+        position, rows, constants = self._matrix()
+        objective: list[int | Fraction] = [0] * len(position)
+        for name, coeff in expr.coefficients():
+            if name not in position:
+                # The dual row of a variable no constraint mentions
+                # reads 0 = coeff: infeasible.
+                return EMPTY_OR_UNBOUNDED, None
+            objective[position[name]] = coeff
+        status, value = dual_minimum(rows, constants, objective)
+        if status == OPTIMAL:
+            value += expr.constant_term
+        return status, value
 
-        A "feasible" float verdict is accepted (erring on the sound,
-        larger-polyhedron side); an "infeasible" verdict is confirmed by
-        the exact simplex before bottom is reported, because wrongly
-        declaring emptiness would make the abstract domain unsound.
-        """
-        if self._bottom:
-            return True
+    def _infeasible(self) -> bool:
+        """Are the constraints unsatisfiable?  Farkas' lemma, memoized.
+        (Bottom carries no constraints, so this is False for it.)"""
         if not self._ineqs:
             return False
         key = frozenset(self._ineqs)
         cached = _EMPTY_CACHE.get(key)
         if cached is not None:
             return cached
-        float_solution = _FLOAT_SOLVER.solve(self._feasibility_model())
-        if float_solution.status is LPStatus.INFEASIBLE:
-            exact = _SOLVER.solve(self._feasibility_model())
-            result = exact.status is LPStatus.INFEASIBLE
-        else:
-            result = False
+        _, rows, constants = self._matrix()
+        result = farkas_empty(rows, constants)
         if len(_EMPTY_CACHE) < _CACHE_LIMIT:
             _EMPTY_CACHE[key] = result  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
         return result
 
+    def is_empty(self) -> bool:
+        """Semantic emptiness: bottom, or constraints that a Farkas
+        certificate (``λ >= 0`` with ``Aᵀλ = 0``, ``b·λ = -1``) refutes."""
+        if self._bottom:
+            return True
+        return self._infeasible()
+
     def minimize(self, expr) -> Fraction | None:
         """Exact minimum of an affine expression over the polyhedron.
 
-        Returns ``None`` when unbounded below; raises nothing on bottom
-        (callers should check).  ``expr`` is an
-        :class:`~repro.poly.linexpr.AffineExpr`.
+        Returns ``None`` when unbounded below and raises ``ValueError``
+        when the constraints are infeasible.  Bottom carries no
+        constraints, so it is treated as the universe (callers should
+        check).  ``expr`` is an :class:`~repro.poly.linexpr.AffineExpr`.
         """
-        model = self._feasibility_model()
-        model.minimize(expr)
-        solution = _SOLVER.solve(model)
-        if solution.status is LPStatus.UNBOUNDED:
+        status, value = self._dual_minimum(expr)
+        if status == OPTIMAL:
+            return value
+        if status == EMPTY_OR_UNBOUNDED and not self._infeasible():
             return None
-        if solution.status is LPStatus.INFEASIBLE:
-            raise ValueError("minimize called on an empty polyhedron")
-        return solution.objective_value
+        raise ValueError("minimize called on an empty polyhedron")
 
     def entails(self, ineq: LinIneq) -> bool:
         """Does every point of the polyhedron satisfy ``ineq``?
 
-        Hybrid: a clearly positive float minimum accepts entailment, a
-        clearly negative one rejects it; borderline values (and the
-        degenerate solver statuses) fall back to the exact simplex.
-        Positive verdicts are the soundness-critical direction, so the
-        acceptance margin is applied to them as well.
+        Exact: entailed iff the polyhedron is empty or the minimum of
+        ``ineq``'s expression over it is ``>= 0``.  An optimal dual
+        gives that minimum, an unbounded dual certifies emptiness, and
+        an infeasible dual leaves emptiness to :meth:`is_empty`'s test.
+        Verdicts are memoized.
         """
         if self._bottom:
             return True
@@ -174,68 +193,14 @@ class Polyhedron:
         cached = _ENTAILS_CACHE.get(key)
         if cached is not None:
             return cached
-        result = self._entails_uncached(ineq)
+        status, value = self._dual_minimum(canonical.expr)
+        if status == OPTIMAL:
+            result = value >= 0
+        else:
+            result = status == EMPTY or self._infeasible()
         if len(_ENTAILS_CACHE) < _CACHE_LIMIT:
             _ENTAILS_CACHE[key] = result  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
         return result
-
-    def _entails_uncached(self, ineq: LinIneq) -> bool:
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        float_solution = _FLOAT_SOLVER.solve(model)
-        if float_solution.status is LPStatus.OPTIMAL:
-            value = float(float_solution.objective_value)
-            scale = 1.0 + abs(value)
-            if value >= _MARGIN * scale:
-                # Clear-cut positive: accepted without exact replay.  On
-                # these tiny LPs HiGHS is accurate to ~1e-9, far inside
-                # the margin; end-to-end soundness is additionally
-                # monitored by the run-based certificate checker.
-                return True
-            if value <= -_MARGIN * scale:
-                return False
-        elif float_solution.status is LPStatus.UNBOUNDED:
-            return False
-        return self._entails_exact(ineq)
-
-    def _entails_exact(self, ineq: LinIneq) -> bool:
-        """Exact decision with the rational simplex (borderline cases)."""
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        solution = _SOLVER.solve(model)
-        if solution.status is LPStatus.INFEASIBLE:
-            return True
-        if solution.status is LPStatus.UNBOUNDED:
-            return False
-        return solution.objective_value >= 0
-
-    def _entails_for_pruning(self, ineq: LinIneq) -> bool:
-        """Float-only entailment used by redundancy *pruning*.
-
-        Dropping a constraint always enlarges the polyhedron, so a wrong
-        "entailed" verdict here costs precision, never soundness; an
-        ambiguous verdict defaults to "not entailed" (keep).  This
-        avoids the exact simplex entirely on the hot Fourier-Motzkin
-        pruning path.
-        """
-        if self._bottom:
-            return True
-        canonical = ineq.normalize()
-        if canonical.is_trivial():
-            return True
-        if not self._ineqs:
-            return False
-        if canonical in self._ineqs:
-            return True
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        solution = _FLOAT_SOLVER.solve(model)
-        if solution.status is LPStatus.INFEASIBLE:
-            return True
-        if solution.status is not LPStatus.OPTIMAL:
-            return False
-        value = float(solution.objective_value)
-        return value >= _MARGIN * (1.0 + abs(value))
 
     def entails_all(self, other: "Polyhedron") -> bool:
         """Inclusion check ``self ⊆ other``."""
@@ -311,24 +276,31 @@ class Polyhedron:
     def reduce(self) -> "Polyhedron":
         """Remove redundant constraints; detect emptiness.
 
-        Purely a pruning operation (the result is never smaller than
-        the input as a set of points), so the float-only entailment is
-        used throughout.
+        A constraint is dropped when the remaining ones imply it with
+        slack: its exact minimum over them is strictly positive.  One
+        they imply with minimum exactly 0 stays.  Dropping constraints
+        only enlarges the polyhedron, so pruning never costs soundness.
         """
         if self._bottom:
             return self
         if self.is_empty():
             return Polyhedron.bottom()
-        kept: list[LinIneq] = list(self._ineqs)
+        _, rows, constants = self._matrix()
+        kept = list(range(len(rows)))
         index = 0
         while index < len(kept):
             candidate = kept[index]
-            rest = Polyhedron(kept[:index] + kept[index + 1:])
-            if rest._entails_for_pruning(candidate):
+            others = kept[:index] + kept[index + 1:]
+            # The others describe a superset of this nonempty
+            # polyhedron, so the dual is never unbounded here.
+            status, value = dual_minimum(
+                [rows[k] for k in others], [constants[k] for k in others],
+                rows[candidate])
+            if status == OPTIMAL and value + constants[candidate] > 0:
                 kept.pop(index)
             else:
                 index += 1
-        return Polyhedron(kept)
+        return Polyhedron(self._ineqs[k] for k in kept)
 
     # -- projection -------------------------------------------------------------
 

@@ -109,6 +109,7 @@ DEFAULT_CONTRACTS = Contracts(
         "repro/lp/dual.py",
         "repro/lp/certify.py",
         "repro/handelman/*",
+        "repro/invariants/*",
         "repro/poly/*",
         "repro/core/refutation.py",
         "repro/utils/rationals.py",

@@ -29,10 +29,13 @@ class LinIneq:
     '-x + 9 >= 0'
     """
 
-    __slots__ = ("_expr",)
+    __slots__ = ("_expr", "_normal")
 
     def __init__(self, expr: AffineExpr):
         self._expr = expr
+        # The memoized normal form, or True on a normal form itself (a
+        # self-reference would be a reference cycle).
+        self._normal: LinIneq | bool | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -127,8 +130,18 @@ class LinIneq:
         """Scale so coefficients are coprime integers (canonical form).
 
         Useful for deduplication in invariants: ``2x - 4 >= 0`` and
-        ``x - 2 >= 0`` normalize identically.
+        ``x - 2 >= 0`` normalize identically.  Computed once per
+        instance.
         """
+        normal = self._normal
+        if normal is True:
+            return self
+        if normal is None:
+            normal = self._normal = self._scaled_coprime()
+            normal._normal = True
+        return normal
+
+    def _scaled_coprime(self) -> "LinIneq":
         coeffs = [coeff for _, coeff in self._expr.coefficients()]
         coeffs.append(self._expr.constant_term)
         nonzero = [c for c in coeffs if c != 0]

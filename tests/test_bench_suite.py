@@ -76,8 +76,8 @@ class TestSuiteRegistry:
 
 
 # Ground-truth formulas for the tight threshold of each reconstructed
-# pair, as a function of the (shrunk) input box maxima.  See
-# DESIGN.md §4 for the derivations.
+# pair, as a function of the (shrunk) input box maxima; at the full
+# [1, 100] boxes they give the ``tight`` field of repro.bench.suite.
 @pytest.mark.parametrize("name,formula", [
     ("join", lambda hi: hi * hi),
     ("simple_single", lambda hi: hi),

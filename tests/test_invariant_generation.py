@@ -4,12 +4,20 @@ The key soundness property: every state visited by any concrete run must
 satisfy the generated invariant at its location.
 """
 
+import json
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.suite import get_pair, load_pair
+from repro.core.diffcost import THRESHOLD_SYMBOL, DiffCostAnalyzer
 from repro.invariants import generate_invariants
 from repro.lang import load_program
+from repro.lp.revised import RevisedSimplexBackend
+from repro.lp.scipy_backend import ScipyBackend
+from repro.poly.template import TemplatePolynomial
 from repro.ts import Interpreter
 from repro.ts.guards import LinIneq
 from repro.ts.interpreter import random_choice
@@ -177,3 +185,40 @@ class TestHints:
         assert invariants.at(head).entails(
             LinIneq.leq(Polynomial.variable("i"), 9)
         )
+
+
+# str(InvariantMap) of both versions of four Table 1 pairs, recorded
+# while a float LP (HiGHS) still decided most invariant queries.
+# simple_multiple_dep is the pair whose non-affine update reaches
+# Polyhedron.minimize.
+PINNED_MAPS = json.loads(
+    (Path(__file__).parent / "pinned_invariant_maps.json").read_text())
+
+
+@pytest.fixture
+def lp_backend_calls(monkeypatch):
+    """Count solves on the float and exact LP backends."""
+    calls = []
+    for backend in (ScipyBackend, RevisedSimplexBackend):
+        original = backend.solve
+
+        def counted(self, model, _original=original, _name=backend.__name__):
+            calls.append(_name)
+            return _original(self, model)
+
+        monkeypatch.setattr(backend, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MAPS))
+def test_table1_invariants_are_pinned_and_need_no_lp_backend(
+        name, lp_backend_calls):
+    old, new = load_pair(name)
+    analyzer = DiffCostAnalyzer(old, new, get_pair(name).config())
+    # Invariant generation plus build_constraints' premise-emptiness
+    # checks: every query goes to the exact dual kernel.
+    analyzer.build_constraints(
+        TemplatePolynomial.from_symbol(THRESHOLD_SYMBOL))
+    maps = [str(invariants) for invariants in analyzer.invariants()]
+    assert maps == PINNED_MAPS[name]
+    assert lp_backend_calls == []

@@ -1,6 +1,10 @@
 """Unit and property tests for the polyhedra-lite domain."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -220,3 +224,32 @@ def test_join_contains_both_operands(rows):
             point = {"x": x, "y": y}
             if a_side.contains_point(point) or b_side.contains_point(point):
                 assert joined.contains_point(point)
+
+
+_LARGE_COEFFICIENTS = """
+from repro.invariants.polyhedron import Polyhedron
+from repro.poly.linexpr import AffineExpr
+from repro.ts.guards import LinIneq, box
+
+rows = [
+    LinIneq(AffineExpr({"x0": 5194107, "x1": 27745356}, -26479118)),
+    LinIneq(AffineExpr({"x0": -39922313, "x1": 17788329}, -13208513)),
+] + list(box({"x0": (-100, 100), "x1": (-100, 100)}))
+query = LinIneq(AffineExpr({"x0": -54337158, "x1": 79908321}, 58946038))
+polyhedron = Polyhedron(rows)
+print(polyhedron.entails(query), polyhedron.minimize(query.expr))
+"""
+
+
+def test_large_coefficient_queries_are_exact_in_a_fresh_process():
+    # A 2-variable, 6-row polyhedron with ~1e7 coefficients: decided
+    # exactly, without aborting the interpreter (a float LP solver
+    # crashed on it in most fresh runs).
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _LARGE_COEFFICIENTS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "True", "51670554295364987814717/400017756901877"]
