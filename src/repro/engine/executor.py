@@ -205,12 +205,14 @@ def _run_with_alarm(job: AnalysisJob, timeout: float) -> JobResult:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     except (AttributeError, ValueError):
         return run_job(job)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    # Repeating: a raise that lands in a weakref callback or finalizer
+    # (run by the garbage collector mid-job) is swallowed by the
+    # interpreter, and the next alarm raises again.
+    signal.setitimer(signal.ITIMER_REAL, timeout, timeout)
     try:
-        result = run_job(job)
-        armed = False
-        return result
+        return run_job(job)
     finally:
+        armed = False
         signal.setitimer(signal.ITIMER_REAL, 0)
         # Drain an alarm that was generated before the disarm but not
         # yet delivered — restoring a default disposition while it is
@@ -459,9 +461,11 @@ class ParallelExecutor:
         ``None``.  Otherwise the job goes to the long-lived worker pool
         and the returned handle completes through :meth:`poll` —
         ``on_done`` then fires on the polling thread with the finished
-        (cached + accounted) result.  The handle can be withdrawn with
-        :meth:`cancel_task`; it stays valid across executor-internal
-        retries (the wrapper tracks whichever pool task is live).
+        (cached + accounted) result, or before this returns when no
+        worker could be started for any attempt.  The handle can be
+        withdrawn with :meth:`cancel_task`; it stays valid across
+        executor-internal retries (the wrapper tracks whichever pool
+        task is live).
         """
         self.stats.submitted += 1
         hit = self._lookup(job)
@@ -482,17 +486,21 @@ class ParallelExecutor:
             task.result.attempts = task.attempt
             on_done(self._finish(job, task.result))
 
+        # Hold the handle before dispatching: a task no worker can be
+        # started for completes inside flush(), and its retry must
+        # replace it here rather than be overwritten by it.
         submission.task = pool.submit(job, timeout=self.timeout,
-                                      priority=priority, on_done=_complete)
+                                      priority=priority, on_done=_complete,
+                                      dispatch=False)
+        pool.flush()
         return submission
 
-    def poll(self, timeout: float | None = None) -> int:
-        """Drive the pool: wait up to ``timeout`` seconds for
-        completions (firing their :meth:`submit_job` callbacks) and
-        return how many tasks finished."""
-        if self._pool is None or self._pool.closed:
-            return 0
-        return len(self._pool.wait(timeout))
+    def poll(self, wake) -> int:
+        """Drive the pool until a task completes or ``wake`` becomes
+        readable, firing the :meth:`submit_job` callbacks of finished
+        tasks; returns how many finished.  With no task running this
+        waits on ``wake`` alone (see :meth:`WorkerPool.wait`)."""
+        return len(self._ensure_pool().wait(wake))
 
     def cancel_task(self, handle) -> bool:
         """Withdraw a :meth:`submit_job` handle (or a bare pool task).

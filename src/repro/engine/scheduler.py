@@ -64,10 +64,11 @@ class Task:
 
     ``on_done`` is the pool's async-safe completion hook: it fires with
     the task exactly once, on every path that produces a result (a
-    normal completion, a worker death, or the drain inside a lost
-    cancel race) — never for a genuinely cancelled task — and always on
-    the thread driving the pool.  Callers bridging into an event loop
-    wrap it in ``loop.call_soon_threadsafe``.
+    normal completion, a worker death, a worker that could not be
+    started, or the drain inside a lost cancel race) — never for a
+    genuinely cancelled task — and always on the thread driving the
+    pool.  Callers bridging into an event loop wrap it in
+    ``loop.call_soon_threadsafe``.
     """
 
     __slots__ = ("id", "job", "timeout", "priority", "state", "result",
@@ -221,8 +222,13 @@ class _Worker:
         self.process = context.Process(
             target=_worker_main, args=(child_conn, heartbeat), daemon=True
         )
-        self.process.start()
-        child_conn.close()
+        try:
+            self.process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
         self.conn = parent_conn
         self.task: Task | None = None
         #: Last liveness signal (monotonic): spawn, dispatch, or
@@ -317,7 +323,8 @@ class WorkerPool:
         submission interleaving.
 
         ``on_done`` (optional) is invoked with the task when it
-        completes — see :class:`Task`.  ``attempt`` is the retry
+        completes — see :class:`Task`; if no worker can be started for
+        it, that happens before this returns.  ``attempt`` is the retry
         ordinal the executor assigns when resubmitting a transiently
         failed job.
         """
@@ -334,15 +341,28 @@ class WorkerPool:
         """Dispatch queued tasks to every idle (or spawnable) worker."""
         self._dispatch()
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> list[Task]:
+        """Hand queued tasks to idle (or spawnable) workers; returns the
+        tasks that failed because no worker could be started."""
+        failed: list[Task] = []
         while True:
             task = self._pop_pending()
             if task is None:
-                return
-            worker = self._acquire_worker()
+                return failed
+            try:
+                worker = self._acquire_worker()
+            except OSError as error:
+                # Descriptors or processes ran out.  The task fails as
+                # if its worker had died, instead of vanishing with the
+                # exception: the retry layer sees a transient failure.
+                _LOG.error("could not start a worker for %s: %s",
+                           task.job.name or "a job", error)
+                self._fail(task, type(error).__name__, str(error))
+                failed.append(task)
+                continue
             if worker is None:
                 heapq.heappush(self._queue, (task.priority, task.id, task))
-                return
+                return failed
             task.state = RUNNING
             task.worker = worker
             worker.task = task
@@ -401,46 +421,49 @@ class WorkerPool:
 
     # -- completion --------------------------------------------------------
 
-    def wait(self, timeout: float | None = None) -> list[Task]:
-        """Block until at least one running task completes.
+    def wait(self, wake=None) -> list[Task]:
+        """Block until a running task completes or ``wake`` is readable.
 
-        Returns the newly completed tasks (empty only when nothing is
-        running, or on a ``timeout``); queued tasks are dispatched to
-        any workers this frees.  Heartbeat messages are drained
+        ``wake`` is anything :func:`multiprocessing.connection.wait`
+        accepts, such as a socket; reading it is the caller's job.  With
+        no task running the wait is on ``wake`` alone, and without one
+        there is nothing to wait for, so it returns at once.
+
+        Returns the newly completed tasks: empty when ``wake`` ended the
+        wait or nothing ran.  Queued tasks are dispatched to any workers
+        this frees; a task no worker could be started for completes with
+        a structured error.  Heartbeat messages are drained
         transparently; with :attr:`hang_timeout` set, workers whose
         running task stopped heartbeating are killed here and their
         tasks complete with structured ``WorkerHung`` errors.
         """
-        self._dispatch()
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
+        completed = self._dispatch()
+        while not completed:
             busy = {worker.conn: worker for worker in self._workers
                     if worker.task is not None}
-            if not busy:
+            if not busy and wake is None:
                 return []
-            step = (None if deadline is None
-                    else max(0.0, deadline - time.monotonic()))
-            if self.hang_timeout is not None:
-                # Wake at least once per heartbeat period so a silent
-                # pipe is noticed within one hang window.
-                tick = max(self.heartbeat, 0.02)
-                step = tick if step is None else min(step, tick)
-            completed: list[Task] = []
-            for conn in _wait_ready(list(busy), step):
-                worker = busy[conn]
+            # With hang detection on, wake at least once per heartbeat
+            # period so a silent pipe is noticed within one hang window.
+            tick = (max(self.heartbeat, 0.02)
+                    if busy and self.hang_timeout is not None else None)
+            waitables = list(busy) if wake is None else [*busy, wake]
+            ready = _wait_ready(waitables, tick)
+            for conn in ready:
+                worker = busy.get(conn)
+                if worker is None:
+                    continue  # ``wake``
                 task = worker.task
                 if self._receive(worker) and task is not None:
                     completed.append(task)
             completed.extend(self._reap_hung())
             if completed:
-                self._dispatch()
-                return completed
-            if deadline is not None and time.monotonic() >= deadline:
-                self._dispatch()
-                return []
-            # Only heartbeats (or a hang-check tick) arrived: keep
-            # waiting for a real completion.
+                completed.extend(self._dispatch())
+            elif wake in ready:
+                break
+            # Otherwise only heartbeats (or a hang-check tick) arrived:
+            # keep waiting for a real completion.
+        return completed
 
     def _receive(self, worker: _Worker) -> bool:
         """Read one message from ``worker``; True iff a task completed.
@@ -463,18 +486,8 @@ class WorkerPool:
             if task is None:
                 return False
             self._note_crash("crashed")
-            task.state = DONE
-            task.worker = None
-            task.result = JobResult(
-                job_key=task.job.key,
-                name=task.job.name,
-                kind=task.job.kind,
-                status="error",
-                error_type="BrokenWorker",
-                message=f"worker died (exit code {exitcode})",
-            )
-            if task.on_done is not None:
-                task.on_done(task)
+            self._fail(task, "BrokenWorker",
+                       f"worker died (exit code {exitcode})")
             return True
         if task_id == _HEARTBEAT[0]:
             worker.last_beat = time.monotonic()
@@ -542,21 +555,27 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(0.5)
             self._note_crash("hung")
-            task.state = DONE
-            task.worker = None
-            task.result = JobResult(
-                job_key=task.job.key,
-                name=task.job.name,
-                kind=task.job.kind,
-                status="error",
-                error_type="WorkerHung",
-                message=(f"worker sent no heartbeat for {silence:.1f}s "
-                         f"(hang budget {self.hang_timeout:g}s)"),
-            )
-            if task.on_done is not None:
-                task.on_done(task)
+            self._fail(task, "WorkerHung",
+                       f"worker sent no heartbeat for {silence:.1f}s "
+                       f"(hang budget {self.hang_timeout:g}s)")
             completed.append(task)
         return completed
+
+    @staticmethod
+    def _fail(task: Task, error_type: str, message: str) -> None:
+        """Complete ``task`` with a structured ``"error"`` result."""
+        task.state = DONE
+        task.worker = None
+        task.result = JobResult(
+            job_key=task.job.key,
+            name=task.job.name,
+            kind=task.job.kind,
+            status="error",
+            error_type=error_type,
+            message=message,
+        )
+        if task.on_done is not None:
+            task.on_done(task)
 
     def health(self) -> dict:
         """Point-in-time supervision snapshot (the ``/healthz`` block)."""

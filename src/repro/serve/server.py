@@ -7,15 +7,19 @@ One :class:`AnalysisServer` is a small JSON-over-HTTP service (stdlib
   :class:`~repro.engine.jobs.AnalysisJob`, so identical requests are
   *deduplicated twice* — against the persistent
   :class:`~repro.engine.cache.ResultCache` (a repeat of yesterday's
-  request replays in microseconds) and against in-flight work (two
-  concurrent identical requests run the analysis once and both get the
-  one result);
+  request is a cache read, not an analysis) and against in-flight work
+  (two concurrent identical requests run the analysis once and both
+  get the one result);
 - analysis runs on the engine's long-lived
   :class:`~repro.engine.scheduler.WorkerPool`, driven by a dedicated
   bridge thread.  The event loop and the pool meet only at a
   thread-safe message queue and ``loop.call_soon_threadsafe`` — the
   pool's bookkeeping stays single-threaded, exactly as the scheduler
-  requires;
+  requires.  Every message the loop posts is followed by one byte on a
+  wake socket, and the bridge sleeps in a single wait on that socket
+  plus the busy workers' pipes, draining the socket before the queue:
+  a request, a cancel or a completion is handled as soon as it
+  happens, never after a poll interval;
 - a per-request deadline reuses the scheduler's cancellation path: when
   the last request waiting on a job times out, the job's worker is
   terminated through :meth:`WorkerPool.cancel` (the same cancel/done
@@ -42,6 +46,7 @@ import asyncio
 import json
 import math
 import queue
+import socket
 import threading
 import time
 from dataclasses import fields as dataclass_fields
@@ -251,21 +256,29 @@ class _EngineBridge(threading.Thread):
     re-enter their loop with ``call_soon_threadsafe``).  FIFO ordering
     is what makes cancellation sound without locks — a cancel enqueued
     after its submit is always handled after the task exists.
-    """
 
-    #: Poll quantum while jobs are in flight: the loop alternates
-    #: draining the inbox and waiting on worker pipes, so this bounds
-    #: both submission latency and completion latency.
-    POLL = 0.05
-    #: Inbox wait while the pool is idle (nothing to poll for).
-    IDLE_WAIT = 0.5
+    Each message is followed by one byte on a wake channel (a
+    non-blocking socket pair).  The thread sleeps in one untimed wait
+    on the busy workers' pipes plus the wake socket — the socket alone
+    when no worker is busy — so a completion or a posted message is
+    seen at once, with no poll quantum.  Each turn drains the socket
+    *before* the inbox: a message posted after the inbox drain leaves
+    its byte unread, and the next wait returns at once instead of
+    sleeping on it.
+
+    An exception raised while handling a message or driving the pool
+    does not end the thread: a failed submission is answered with a
+    structured ``"error"`` result, and the rest is logged.
+    """
 
     def __init__(self, executor: ParallelExecutor):
         super().__init__(name="repro-serve-engine", daemon=True)
         self._executor = executor
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._wake, self._waker = socket.socketpair()
+        self._wake.setblocking(False)
+        self._waker.setblocking(False)
         self._tasks: dict[str, object] = {}
-        self._running = 0
         self._closed = False
 
     # -- event-loop facing API (thread-safe: only enqueues) ----------------
@@ -274,34 +287,54 @@ class _EngineBridge(threading.Thread):
         """Request execution of ``job``; ``on_done(result)`` will fire
         exactly once on the bridge thread (synchronously for a cache
         hit) unless the job is cancelled first."""
-        self._inbox.put(("submit", job, on_done))
+        self._post(("submit", job, on_done))
 
     def cancel(self, key: str) -> None:
         """Withdraw the job under ``key`` if it is still running.  A
         completion that races the cancel wins (its ``on_done`` has
         fired); a genuinely cancelled job's worker is terminated."""
-        self._inbox.put(("cancel", key, None))
+        self._post(("cancel", key, None))
 
     def shutdown(self) -> None:
-        self._inbox.put(("stop", None, None))
+        self._post(("stop", None, None))
+
+    def _post(self, message) -> None:
+        self._inbox.put(message)
+        try:
+            self._waker.send(b"\0")
+        except BlockingIOError:
+            pass  # a full buffer of unread bytes already wakes the thread
+
+    def close(self) -> None:
+        """Release the wake channel; call once the thread has joined."""
+        self._wake.close()
+        self._waker.close()
 
     # -- bridge thread -----------------------------------------------------
 
     def run(self) -> None:
         while not self._closed:
-            wait = self.POLL if self._running else self.IDLE_WAIT
             try:
-                message = self._inbox.get(timeout=wait)
-            except queue.Empty:
-                message = None
-            while message is not None:
-                self._handle(message)
-                try:
-                    message = self._inbox.get_nowait()
-                except queue.Empty:
-                    message = None
-            if not self._closed and self._running:
-                self._executor.poll(timeout=self.POLL)
+                self._drain_wake()
+                while not self._closed:
+                    try:
+                        message = self._inbox.get_nowait()
+                    except queue.Empty:
+                        break
+                    self._handle(message)
+                if not self._closed:
+                    self._executor.poll(self._wake)
+            except Exception:
+                # This thread alone drives the pool: were it to end,
+                # every later request would go unanswered.
+                _LOG.exception("engine bridge error; still serving")
+
+    def _drain_wake(self) -> None:
+        try:
+            # Bytes beyond this read stay readable: one extra turn.
+            self._wake.recv(4096)
+        except BlockingIOError:
+            pass
 
     def _handle(self, message) -> None:
         kind, payload, extra = message
@@ -316,14 +349,26 @@ class _EngineBridge(threading.Thread):
         key = job.key
 
         def finished(result: JobResult) -> None:
-            if self._tasks.pop(key, None) is not None:
-                self._running -= 1
+            self._tasks.pop(key, None)
             on_done(result)
 
-        task = self._executor.submit_job(job, finished)
-        if task is not None:
+        # Registered first: a cache hit (or a job no worker could be
+        # started for) finishes inside submit_job and must leave no
+        # entry behind.
+        self._tasks[key] = None
+        try:
+            task = self._executor.submit_job(job, finished)
+        except Exception as error:
+            _LOG.exception("could not submit job %s", key)
+            if key in self._tasks:  # not answered yet
+                finished(JobResult(
+                    job_key=key, name=job.name, kind=job.kind,
+                    status="error", error_type=type(error).__name__,
+                    message=str(error),
+                ))
+            return
+        if key in self._tasks:
             self._tasks[key] = task
-            self._running += 1
 
     def _cancel(self, key: str) -> None:
         task = self._tasks.get(key)
@@ -331,7 +376,6 @@ class _EngineBridge(threading.Thread):
             return  # already completed (or was a cache hit)
         if self._executor.cancel_task(task):
             self._tasks.pop(key, None)
-            self._running -= 1
         # else: it completed inside the cancel race and `finished` has
         # already run — nothing left to clean up.
 
@@ -447,6 +491,7 @@ class AnalysisServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self._bridge.join(timeout=5.0)
             )
+            self._bridge.close()
             self._bridge = None
         if self.executor is not None:
             self.executor.close()

@@ -1,6 +1,7 @@
 """Tests of the parallel portfolio analysis engine (`repro.engine`)."""
 
 import json
+import signal
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import (
     run_portfolio,
     select_result,
 )
+from repro.engine.executor import JobTimeoutError
 from repro.errors import AnalysisError
 
 OLD = """
@@ -157,6 +159,34 @@ class TestStructuredFailures:
         assert result.status == "timeout"
         assert result.error_type == "JobTimeoutError"
         assert "budget" in result.message
+
+    def test_a_swallowed_timeout_is_raised_again(self, monkeypatch):
+        """The interpreter swallows an exception raised in a weakref
+        callback or finalizer, which is where the budget's alarm lands
+        when garbage collection runs mid-job: the alarm must repeat."""
+        install = signal.signal
+        swallowed = []
+
+        def swallow_first_alarm(signum, handler):
+            if getattr(handler, "__name__", "") != "_on_alarm":
+                return install(signum, handler)
+
+            def once_swallowed(*args):
+                if swallowed:
+                    return handler(*args)
+                try:
+                    handler(*args)
+                except JobTimeoutError as error:
+                    swallowed.append(error)
+
+            return install(signum, once_swallowed)
+
+        monkeypatch.setattr(signal, "signal", swallow_first_alarm)
+        slow = make_job(config=AnalysisConfig(degree=3, max_products=3))
+        result = ParallelExecutor(jobs=1, timeout=0.01,
+                                  max_retries=0).run([slow])[0]
+        assert swallowed
+        assert result.status == "timeout"
 
     def test_failure_does_not_poison_the_batch(self):
         jobs = [make_job(old_source="proc p( {"), make_job()]

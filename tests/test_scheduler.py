@@ -2,6 +2,9 @@
 scheduler (`repro.engine.scheduler`)."""
 
 import asyncio
+import errno
+import multiprocessing
+import os
 import signal
 import time
 from fractions import Fraction
@@ -167,6 +170,32 @@ class TestWorkerPool:
             assert again.result.threshold == 10.0
             assert pool.spawned == 2
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs procfs")
+    def test_worker_that_cannot_start_fails_its_task(self, monkeypatch):
+        """Descriptors ran out at spawn: the task completes with a
+        structured error (returned by wait), the half-built worker's
+        pipe is closed, and the pool spawns normally afterwards."""
+        def refuse(process):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        with WorkerPool(1) as pool:
+            descriptors = len(os.listdir("/proc/self/fd"))
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing.process.BaseProcess, "start",
+                              refuse)
+                task = pool.submit(count_job(), dispatch=False)
+                assert pool.wait() == [task]
+            assert len(os.listdir("/proc/self/fd")) == descriptors
+            assert task.result.status == "error"
+            assert task.result.error_type == "OSError"
+            assert os.strerror(errno.EMFILE) in task.result.message
+            assert pool.spawned == 0
+            again = pool.submit(count_job(name="again"))
+            while again.result is None:
+                pool.wait()
+            assert again.result.threshold == 10.0
+
     def test_closed_pool_rejects_submissions(self):
         pool = WorkerPool(1)
         pool.shutdown()
@@ -304,13 +333,13 @@ class TestEscalationScheduler:
         concurrent_pairs = []
         original_wait = WorkerPool.wait
 
-        def spying_wait(pool, timeout=None):
+        def spying_wait(pool, wake=None):
             running = {worker.task.job.name.split("[")[0]
                        for worker in pool._workers
                        if worker.task is not None}
             if len(running) > 1:
                 concurrent_pairs.append(running)
-            return original_wait(pool, timeout)
+            return original_wait(pool, wake)
 
         monkeypatch.setattr(WorkerPool, "wait", spying_wait)
         ladders = [

@@ -13,14 +13,25 @@ forever (CI adds pytest-timeout on top).
 """
 
 import asyncio
+import errno
+import gc
 import json
+import os
+import sqlite3
+import statistics
+import sys
+import threading
+import time
+import warnings
 
 import pytest
 
 from cache_rows import read_entry, stored_keys
 from repro.config import AnalysisConfig, EngineConfig, ServeConfig
 from repro.engine import ResultCache, run_batch, shard_pairs, discover_pairs
+from repro.engine import scheduler
 from repro.engine.batch import batch_to_json
+from repro.engine.executor import ParallelExecutor
 from repro.serve import (
     AnalysisServer,
     ServeError,
@@ -399,6 +410,193 @@ class TestDeadline:
                 assert status == 200
                 assert body["result"]["status"] == "ok"
                 assert body["result"]["threshold"] == pytest.approx(20000.0)
+            finally:
+                await server.stop()
+
+        run_async(scenario())
+
+
+QUICK_PAYLOAD = {"kind": "diff", "old_source": QUICK_OLD,
+                 "new_source": QUICK_NEW, "name": "count"}
+
+#: A miss that keeps the only worker busy for seconds (d = K = 3); the
+#: deadline bounds the test, not the analysis.
+LONG_MISS_PAYLOAD = {"kind": "diff", "old_source": CUBIC_OLD,
+                     "new_source": CUBIC_NEW, "name": "cubic",
+                     "config": {"degree": 3, "max_products": 3},
+                     "deadline": 3}
+
+
+async def start_long_miss(port) -> asyncio.Task:
+    """Post :data:`LONG_MISS_PAYLOAD` and return once it is in flight."""
+    miss = asyncio.ensure_future(
+        http_json(port, "POST", "/analyze", LONG_MISS_PAYLOAD))
+    for _ in range(600):
+        _status, health = await http_json(port, "GET", "/healthz")
+        if health["inflight"] >= 1:
+            return miss
+        await asyncio.sleep(0.01)
+    raise AssertionError("the miss never showed up in flight")
+
+
+def thread_cpu_seconds(thread: threading.Thread) -> float:
+    """User + system CPU time of one thread of this process."""
+    with open(f"/proc/self/task/{thread.native_id}/stat") as stat:
+        fields = stat.read().rpartition(")")[2].split()
+    # Fields 14 and 15 of stat(5), counted from the state field (3).
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+class TestEngineBridge:
+    """The bridge thread wakes on events, survives errors and leaks
+    nothing."""
+
+    def test_hit_during_a_miss_is_answered_promptly(self, tmp_path):
+        """A cached answer must not wait for the running miss: the
+        bridge wakes on the posted request, not on a poll timer."""
+        async def scenario():
+            server = await started_server(tmp_path)
+            try:
+                _status, first = await http_json(
+                    server.port, "POST", "/analyze", QUICK_PAYLOAD)
+                assert first["result"]["status"] == "ok"
+                miss = await start_long_miss(server.port)
+                seconds = []
+                for _ in range(20):
+                    start = time.perf_counter()
+                    _status, body = await http_json(
+                        server.port, "POST", "/analyze", QUICK_PAYLOAD)
+                    seconds.append(time.perf_counter() - start)
+                    assert body["result"]["cached"], body
+                _status, health = await http_json(
+                    server.port, "GET", "/healthz")
+                assert health["inflight"] == 1 and not miss.done()
+                assert statistics.median(seconds) < 0.010, seconds
+                status, _body = await miss
+                assert status == 200
+            finally:
+                await server.stop()
+
+        run_async(scenario())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs procfs")
+    def test_start_stop_leaves_nothing_behind(self, tmp_path):
+        # Without a cache: its SQLite handle is released by the garbage
+        # collector, not by stop().
+        async def cycle():
+            server = await started_server(tmp_path, cache_dir=None)
+            await server.stop()
+
+        gc.collect()  # what earlier tests left to the collector
+        descriptors = len(os.listdir("/proc/self/fd"))
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            # A socket left to the garbage collector warns when freed.
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(10):
+                run_async(cycle())
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert threading.active_count() == threads
+        assert not [warning for warning in caught
+                    if issubclass(warning.category, ResourceWarning)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs procfs")
+    def test_bridge_sleeps_while_idle_and_while_a_miss_runs(self, tmp_path):
+        async def scenario():
+            server = await started_server(tmp_path)
+            try:
+                bridge = server._bridge
+                before = thread_cpu_seconds(bridge)
+                await asyncio.sleep(1.0)
+                assert thread_cpu_seconds(bridge) - before < 0.1
+                miss = await start_long_miss(server.port)
+                before = thread_cpu_seconds(bridge)
+                await asyncio.sleep(1.0)
+                assert thread_cpu_seconds(bridge) - before < 0.1
+                assert not miss.done()
+                await miss
+            finally:
+                await server.stop()
+
+        run_async(scenario())
+
+    def test_no_posted_message_is_slept_on(self, tmp_path):
+        """Stress the drain order: with a tiny switch interval, rounds of
+        concurrent hits post messages while the idle bridge is between
+        its drains.  A message whose wake byte was consumed before the
+        message was read would sleep until the next event — and with
+        nothing running there is none, so the round would time out."""
+        pairs = [dict(QUICK_PAYLOAD,
+                      new_source=QUICK_OLD.replace("tick(1)", f"tick({c})"))
+                 for c in range(2, 6)]
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            try:
+                for payload in pairs:
+                    await http_json(server.port, "POST", "/analyze", payload)
+                for _ in range(100):
+                    replies = await asyncio.wait_for(asyncio.gather(*(
+                        http_json(server.port, "POST", "/analyze", payload)
+                        for payload in pairs)), 10)
+                    assert all(body["result"]["cached"]
+                               for _status, body in replies), replies
+            finally:
+                await server.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_async(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["worker spawn", "cache read",
+                                       "pool wait"])
+    def test_one_failure_neither_kills_the_bridge_nor_loses_a_request(
+            self, tmp_path, monkeypatch, where):
+        """One exception — descriptors exhausted when the miss spawns
+        its worker, a broken cache read inside the submission, or an
+        error while driving the pool — is answered (structurally where
+        it ends the submission) and the next request is served."""
+        owner, name, error, expected = {
+            "worker spawn": (scheduler, "_Worker",
+                             OSError(errno.EMFILE,
+                                     os.strerror(errno.EMFILE)),
+                             ("error", "OSError")),
+            "cache read": (ResultCache, "get",
+                           sqlite3.DatabaseError("disk image is malformed"),
+                           ("error", "DatabaseError")),
+            "pool wait": (ParallelExecutor, "poll", RuntimeError("boom"),
+                          ("ok", None)),
+        }[where]
+        original = getattr(owner, name)
+        failures = [error]
+
+        def fail_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, fail_once)
+
+        async def scenario():
+            server = await started_server(tmp_path, max_retries=0)
+            try:
+                _status, first = await asyncio.wait_for(http_json(
+                    server.port, "POST", "/analyze", QUICK_PAYLOAD), 30)
+                result = first["result"]
+                assert (result["status"], result["error_type"]) == expected
+                if expected[0] == "error":
+                    assert str(error) in result["message"]
+                assert not failures
+                _status, second = await asyncio.wait_for(http_json(
+                    server.port, "POST", "/analyze", QUICK_PAYLOAD), 30)
+                assert second["result"]["status"] == "ok"
+                assert server._bridge.is_alive()
             finally:
                 await server.stop()
 
