@@ -17,10 +17,11 @@ Every witness shares the same constraint system — only the objective
 ``AnalysisConfig.lp_incremental`` (the default) the loop therefore runs
 the Handelman expansion and ``encode_implication`` **once** and swaps
 objectives: exact backends re-solve through
-:class:`~repro.lp.dual.IncrementalLP`, which re-optimizes each witness
-from the previous optimal basis (primal phase-2 pivots on one LU/eta
-factorization) instead of solving cold — one factorization amortized
-over up to 33 witness LPs; float backends re-solve the shared model.
+:class:`~repro.lp.dual.IncrementalLP`, which exchanges one LU/eta
+factorization onto a HiGHS-nominated basis per witness and certifies
+it by exact pricing instead of solving cold — one factorization
+amortized over up to 33 witness LPs; float backends re-solve the
+shared model.
 ``lp_incremental=False`` restores the original loop verbatim
 (re-encode and solve cold per witness), kept as the A/B baseline the
 perf harness measures against.  The certified gaps are bit-identical

@@ -4,22 +4,21 @@ The solve ladder, in the style of iteratively-refined exact solvers
 (QSopt_ex, SoPlex):
 
 1. **Float stage** — solve the standard-form LP in floating point:
-   through scipy's HiGHS when importable (its vertex solution is turned
-   into a basis by a support crossover), otherwise with the revised
-   simplex over floats.  Float answers are never trusted; they only
-   nominate a candidate basis.
+   through scipy's HiGHS when importable, otherwise with the revised
+   simplex over floats.  HiGHS's vertex, reduced costs and row duals
+   are crossed over to a basis that is primal and dual feasible up to
+   float noise (:func:`_crossover_basis`).  Float answers are never
+   trusted; they only nominate a candidate basis.
 2. **Exact certification** — refactorize the candidate basis over
    ``Fraction``; check primal feasibility exactly (``B^{-1} b >= 0``,
    artificials at zero) and dual feasibility by exact pricing.  If both
    hold the float basis *is* the exact optimum: ``path = "certified"``,
-   zero exact pivots.
+   zero exact pivots — the common case.
 3. **Exact resume** — primal feasible but not dual feasible: exact
    phase-2 pivoting resumes from the candidate basis
-   (``path = "resumed"``), typically a handful of pivots.  Primal
-   *infeasible* but exactly dual feasible: the dual simplex
-   (:mod:`repro.lp.dual`) re-optimizes from the same basis
-   (``path = "dual"``) — previously such bases were discarded and the
-   solve started over from the artificial basis.
+   (``path = "resumed"``).  Primal *infeasible* but exactly dual
+   feasible: the dual simplex (:mod:`repro.lp.dual`) re-optimizes from
+   the same basis (``path = "dual"``).
 4. **Fallback** — an unusable basis (singular, neither feasibility) or
    a non-optimal float verdict falls back to the exact two-phase solve
    (``path = "fallback"``), so every answer is exact regardless of what
@@ -32,7 +31,8 @@ basis of the same LP, and the optimal objective value is unique.
 :func:`solve_form_exact` exposes the whole ladder as a reusable
 routine returning the *live* exact solver, which is what
 :class:`~repro.lp.dual.IncrementalLP` builds its factorized-basis
-re-solves on.
+re-solves on; its re-solves take their nominations from
+:func:`candidate_bases` too.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ USE_SCIPY = True
 
 #: Float values below this are treated as zero during crossover.
 _SUPPORT_TOL = 1e-9
+#: Reduced costs and row duals at or below this, relative to the
+#: largest cost, count as zero during crossover (HiGHS leaves ~1e-15
+#: relative noise on the Handelman LPs).
+_PRICE_TOL = 1e-9
 #: Minimal acceptable elimination pivot while selecting basis columns.
 _PIVOT_TOL = 1e-7
 
@@ -81,31 +85,58 @@ def _scipy_modules():
     return numpy, linprog, csc_matrix
 
 
-def _crossover_basis(form: SparseStandardForm, x, numpy) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
-    """Select a basis from a float vertex solution's support.
+def _crossover_basis(form: SparseStandardForm, result,  # lint: allow[float-cast] declared float warm-start stage
+                     numpy) -> list[int] | None:
+    """Select a basis from HiGHS's vertex solution and its marginals.
 
-    Columns are scanned in descending solution value (then the
-    artificial identity columns, which guarantee completion) and
-    accepted greedily when independent of the already-selected ones,
-    measured by float Gaussian elimination.  Artificial columns picked
-    here end up basic at zero and are pinned by the exact phase-2 ratio
-    test, so they never distort the solved program.
+    A basis is optimal when it holds the vertex's support (so ``x_B``
+    is the vertex: primal feasible) and only columns whose reduced
+    cost ``d_j = c_j - y.a_j`` is zero (so the simplex multipliers it
+    defines are HiGHS's row duals ``y`` and every nonbasic column
+    prices out ``d_j >= 0``: dual feasible).  An artificial column
+    ``e_i`` costs zero in phase 2, so it prices out at zero only in a
+    row whose dual ``y_i`` is zero.  Columns are therefore scanned in
+    this order, each accepted greedily when independent of the ones
+    already selected (float Gaussian elimination):
+
+    1. the support, by descending value;
+    2. the other zero-priced columns;
+    3. the artificials of zero-dual rows;
+    4. the remaining columns by increasing reduced cost;
+    5. the remaining artificials, which guarantee completion.
+
+    When the first three groups span the rows the candidate is both
+    primal and dual feasible up to float noise, and exact pricing
+    certifies it with zero pivots.  Otherwise the later groups keep it
+    a basis and exact phase 2 finishes.  Artificials picked here sit
+    basic at zero and are pinned by the phase-2 ratio test, so they
+    never distort the solved program.
     """
     m, n = form.num_rows, form.num_cols
+    x = result.x
+    reduced = result.lower.marginals
+    duals = result.eqlin.marginals
+    scale = max(1.0, max((abs(float(c)) for c in form.costs), default=0.0))
+    tol = _PRICE_TOL * scale
     support = sorted(
         (j for j in range(n) if x[j] > _SUPPORT_TOL),
         key=lambda j: (-x[j], j),
     )
     in_support = set(support)
-    # Degenerate vertices have fewer positive entries than rows; prefer
-    # completing the basis with zero-valued *structural* columns over
-    # artificials — every artificial chosen here is a pinned row that
-    # exact phase 2 must pivot around.
-    rest = [j for j in range(n) if j not in in_support]
+    zero_priced, priced = [], []
+    for j in range(n):
+        if j not in in_support:
+            (zero_priced if abs(reduced[j]) <= tol else priced).append(j)
+    priced.sort(key=lambda j: (reduced[j], j))
+    zero_dual, nonzero_dual = [], []
+    for i in range(m):
+        (zero_dual if abs(duals[i]) <= tol else nonzero_dual).append(n + i)
+    order = support + zero_priced + zero_dual + priced + nonzero_dual
+
     basis: list[int] = []
     used = numpy.zeros(m, dtype=bool)
     eliminated: list[tuple[int, object]] = []  # (pivot row, unit vector)
-    for j in support + rest + [n + row for row in range(m)]:
+    for j in order:
         if len(basis) == m:
             break
         vector = numpy.zeros(m)
@@ -170,7 +201,7 @@ def _scipy_candidate_basis(form: SparseStandardForm, stats: dict,  # lint: allow
     stats["float_status"] = int(result.status)
     if result.status != 0 or result.x is None:
         return None
-    return _crossover_basis(form, result.x, numpy)
+    return _crossover_basis(form, result, numpy)
 
 
 def float_simplex_candidate_basis(form: SparseStandardForm, stats: dict, *,
@@ -204,13 +235,17 @@ def float_simplex_candidate_basis(form: SparseStandardForm, stats: dict, *,
 def candidate_bases(form: SparseStandardForm, stats: dict, *,
                     max_iterations: int = 200_000,
                     bland_trigger: int = 24,
+                    float_simplex: bool = True,
                     ) -> Iterator[tuple[str, list[int]]]:
     """Candidate bases, laziest-first: the float simplex only runs
-    when the scipy basis is absent or fails exact verification."""
+    when the scipy basis is absent or fails exact verification, and
+    not at all with ``float_simplex=False``."""
     if USE_SCIPY:
         basis = scipy_candidate_basis(form, stats)
         if basis is not None:
             yield "scipy", basis
+    if not float_simplex:
+        return
     basis = float_simplex_candidate_basis(
         form, stats, max_iterations=max_iterations,
         bland_trigger=bland_trigger,

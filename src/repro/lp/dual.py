@@ -6,8 +6,7 @@ feasible (all reduced costs nonnegative) but primal infeasible, where
 restarting from scratch throws away a perfectly good factorization:
 
 - a float warm-start basis whose exact refactorization reveals a
-  negative basic value (:mod:`repro.lp.certify` previously fell back to
-  the exact two-phase solve);
+  negative basic value (:mod:`repro.lp.certify`'s ``dual`` path);
 - a right-hand-side change — e.g. tightening a variable bound — applied
   to a previously *optimal* basis: costs are unchanged, so the basis
   stays dual feasible, and only primal feasibility needs repair.
@@ -26,9 +25,10 @@ index, which the dual Bland guarantee requires).
 
 :class:`IncrementalLP` packages this into the one-encode re-solve loop
 used by threshold refutation: standardize a model once, factorize once,
-then re-optimize per objective (primal phase 2 from the previous
-optimal basis) or per bound tweak (dual simplex after an rhs patch) —
-never re-encoding, and refactorizing only when the eta file says so.
+then re-optimize per objective (column exchanges onto a basis HiGHS
+nominates, certified by exact pricing) or per bound tweak (dual simplex
+after an rhs patch) — never re-encoding, and refactorizing only when
+the eta file says so.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.lp.model import LPModel
 from repro.lp.revised import (
     INFEASIBLE,
     OPTIMAL,
-    PIVOT_LIMIT,
     UNBOUNDED,
     WARM_READY,
     RevisedSimplex,
@@ -183,40 +182,51 @@ class IncrementalLP:
     :class:`~repro.lp.revised.RevisedSimplex` (LU + eta factorization)
     across solves:
 
-    - :meth:`solve` with a new objective re-optimizes with primal
-      phase-2 pivots from the previous optimal basis — the basis stays
-      primal feasible when only costs change, so there is no phase 1
-      and no fresh factorization;
+    - :meth:`solve` with a new objective rewinds to the *anchor* (an
+      earlier primal feasible basis whose factorization is a prefix of
+      the eta file), lets HiGHS nominate a basis for the new costs
+      (:func:`repro.lp.certify.candidate_bases`), moves the live basis
+      onto it by column exchanges — one ``ftran`` and one eta push per
+      entering column, no fresh LU — and resumes exact phase 2.  When
+      the nomination is dual feasible, phase 2 certifies it with zero
+      pivots (``path = "resolve:certified"``);
     - :meth:`update_upper` patches the standard form's right-hand side
       in place (the basis stays *dual* feasible when only ``b``
       changes) and repairs primal feasibility with the dual simplex.
 
     The first solve runs the ``exact-warm`` ladder of
     :func:`repro.lp.certify.solve_form_exact` (float basis + exact
-    certification) unless ``float_assist=False``.  Every reported value
-    is a ``Fraction``; optima are bit-identical to cold solves of the
-    same model because the optimal objective value of an LP is unique.
+    certification).  Every reported value is a ``Fraction``; optima are
+    bit-identical to cold solves of the same model because the optimal
+    objective value of an LP is unique.
+
+    Why nominate instead of pivoting onward from the previous optimum:
+    on the Handelman refutation LPs, the first optimal vertex usually
+    stays optimal for the next witness, but its basis is not dual
+    feasible for the new costs.  Primal pivots then walk the degenerate
+    optimal face — every step has length 0 — for hundreds of pivots
+    (874 on ``join``'s five witnesses) before pricing proves
+    optimality.  HiGHS's reduced costs pick a dual feasible basis of
+    that face directly.  A rejected nomination (singular, or primal
+    infeasible) or a missing one (no scipy, an unbounded objective)
+    falls back to that walk from the anchor (``"resolve:walked"``).
 
     Constraints (and therefore phase-1 feasibility) never change under
     objective swaps, so one exact infeasibility proof is cached and
     replayed until an rhs patch invalidates it.
 
     ``bland_trigger`` defaults much higher than the cold solvers' 24:
-    a re-solve from the previous optimum mostly walks a degenerate
-    optimal face (every pivot has step 0 — the vertex is already
-    optimal, the basis is chasing dual feasibility), and switching to
-    Bland's crawl after 24 degenerate steps made that walk ~3x longer
-    on the Handelman refutation LPs.  Termination is unaffected —
-    Bland still engages after the trigger, so cycles cannot persist.
+    a fallback walk from the anchor is mostly degenerate, and switching
+    to Bland's crawl after 24 degenerate steps made it ~3x longer on
+    the Handelman refutation LPs.  Termination is unaffected — Bland
+    still engages after the trigger, so cycles cannot persist.
     """
 
-    def __init__(self, model: LPModel, *, float_assist: bool = True,
-                 max_iterations: int = 200_000, bland_trigger: int = 192,
-                 eta_limit: int | None = None):
+    def __init__(self, model: LPModel, *, max_iterations: int = 200_000,
+                 bland_trigger: int = 192, eta_limit: int | None = None):
         self.model = model
         standardize_stats: dict = {}
         self.form = standardize(model, standardize_stats)
-        self.float_assist = float_assist
         self.max_iterations = max_iterations
         self.bland_trigger = bland_trigger
         # Re-solves keep longer eta files than one-shot solves: the
@@ -250,8 +260,9 @@ class IncrementalLP:
         """Optimize ``objective`` (an :class:`AffineExpr`; ``None``
         keeps the model's current objective) over the fixed constraints.
 
-        The first call solves cold; later calls re-optimize from the
-        previous basis with primal phase-2 pivots only.
+        The first call solves cold; later calls re-optimize on the live
+        factorization from a nominated basis or the anchor, with primal
+        phase-2 pivots only.
         """
         if objective is not None:
             if maximize:
@@ -386,27 +397,18 @@ class IncrementalLP:
         return costs
 
     def _cold_solve(self, costs: list[Fraction]) -> LPSolution:
+        from repro.lp.certify import solve_form_exact
+
         self.form.costs = costs
         self.stats["cold_solves"] += 1
         self._counted = {}
         ladder_stats: dict = {}
-        if self.float_assist:
-            from repro.lp.certify import solve_form_exact
-
-            solver, status = solve_form_exact(
-                self.form, ladder_stats,
-                max_iterations=self.max_iterations,
-                bland_trigger=self.bland_trigger,
-                eta_limit=self.eta_limit,
-            )
-        else:
-            solver = RevisedSimplex(
-                self.form, max_iterations=self.max_iterations,
-                bland_trigger=self.bland_trigger,
-                eta_limit=self.eta_limit,
-            )
-            status = solver.solve_two_phase()
-            ladder_stats["path"] = "cold"
+        solver, status = solve_form_exact(
+            self.form, ladder_stats,
+            max_iterations=self.max_iterations,
+            bland_trigger=self.bland_trigger,
+            eta_limit=self.eta_limit,
+        )
         self.solver = solver
         for key in ("float_pivots", "float_factorizations", "time_float"):
             if key in ladder_stats:
@@ -416,23 +418,17 @@ class IncrementalLP:
         stats = self._collect(path=f"cold:{ladder_stats.get('path')}")
         if status is INFEASIBLE:
             self._infeasible = True
+            self._anchor = None
             return LPSolution(LPStatus.INFEASIBLE,
                               message="phase-1 optimum positive",
                               stats=stats)
+        # Optimal or unbounded, the basis is primal feasible: anchor
+        # here, never at a basis of a solver this one replaced.
+        self._set_anchor()
         if status is UNBOUNDED:
             return LPSolution(LPStatus.UNBOUNDED,
                               message="phase-2 unbounded", stats=stats)
-        self._set_anchor()
         return self._optimal_solution(stats)
-
-    #: Primal re-solve pivots allowed before trying a float-nominated
-    #: basis for the new objective instead.  Re-solves usually finish
-    #: well under this (the previous vertex stays optimal and only
-    #: dual feasibility is re-established); the budget is a safety
-    #: valve against pathological walks across a degenerate optimal
-    #: face, where a fresh float candidate installed on the same
-    #: solver beats pivoting onward.
-    RESOLVE_PIVOT_BUDGET = 512
 
     def _set_anchor(self) -> None:
         """Remember the current basis as the start point of future
@@ -444,21 +440,35 @@ class IncrementalLP:
     def _rewind_to_anchor(self) -> None:
         """Restore the anchor basis in O(1) by truncating the eta file.
 
-        Chaining re-solves from the previous witness's basis lets the
-        walk drift ever further across the degenerate optimal face (and
-        the eta file grow without bound); every re-solve instead starts
-        from the float-certified first optimum, whose factorization is
-        the eta-file prefix.  A refactorization in between rebuilds the
-        LU for a *newer* basis — the old prefix is gone, so that newer
-        basis becomes the anchor.
+        Chaining re-solves from the previous witness's basis would let
+        the eta file grow without bound; every re-solve instead starts
+        from the anchor, whose factorization is the eta-file prefix.  A
+        refactorization in between rebuilds the LU for a *newer*,
+        still primal feasible basis — the old prefix is gone, so that
+        newer basis becomes the anchor.
         """
-        solver = self.solver
-        if self._anchor is None:
-            return
         basis, eta_length, refactorizations = self._anchor
-        if solver.stats["refactorizations"] != refactorizations:
+        if self.solver.stats["refactorizations"] != refactorizations:
             self._set_anchor()
+        else:
+            self._truncate_to(basis, eta_length)
+
+    def _restore_anchor(self) -> None:
+        """Return to the anchor after a rejected exchange.  When an
+        exchange refactorized, the anchor's factorization is no longer
+        an eta-file prefix, so the anchor basis gets a fresh LU."""
+        basis, eta_length, refactorizations = self._anchor
+        solver = self.solver
+        if solver.stats["refactorizations"] == refactorizations:
+            self._truncate_to(basis, eta_length)
             return
+        if solver.warm_start(basis) is not WARM_READY:
+            raise LPError("the anchor basis of a re-solve is not primal "
+                          "feasible")
+        self._set_anchor()
+
+    def _truncate_to(self, basis: list[int], eta_length: int) -> None:
+        solver = self.solver
         if len(solver.fact.etas) == eta_length:
             return
         del solver.fact.etas[eta_length:]
@@ -469,57 +479,52 @@ class IncrementalLP:
             solver.in_basis[j] = True
         solver.xb = solver.fact.ftran_dense(solver.b)
 
+    def _exchange_nomination(self) -> str:
+        """Move the live basis from the anchor onto a basis HiGHS
+        nominates for the current costs; returns the ``WARM_*`` verdict
+        of the exchange, or ``"none"`` when nothing was nominated.
+
+        Only HiGHS nominates: the float simplex would restart from the
+        artificial basis on every witness.  A rejected nomination
+        (singular, or primal infeasible) leaves the solver back at the
+        primal feasible anchor.
+        """
+        from repro.lp.certify import candidate_bases
+
+        ladder_stats: dict = {}
+        verdict = "none"
+        for _source, basis in candidate_bases(
+                self.form, ladder_stats, float_simplex=False):
+            verdict = self.solver.exchange_basis(basis)
+            if verdict is WARM_READY:
+                break
+            self._restore_anchor()
+        if "time_float" in ladder_stats:
+            self.stats["time_float"] = (self.stats.get("time_float", 0.0)
+                                        + ladder_stats["time_float"])
+        return verdict
+
     def _resolve(self, costs: list[Fraction]) -> LPSolution:
         solver = self.solver
         solver.costs = costs
         self.form.costs = costs
         self._rewind_to_anchor()
-        status = solver._run_phase(solver.phase2_costs(), 2,
-                                   pivot_budget=self.RESOLVE_PIVOT_BUDGET)
-        path = "resolve"
-        if status is PIVOT_LIMIT:
-            status = self._resolve_with_float_candidate(solver)
-            path = "resolve-rescued"
+        nomination = self._exchange_nomination()
+        pivots = solver.stats["pivots"]
+        status = solver._run_phase(solver.phase2_costs(), 2)
+        if nomination is not WARM_READY:
+            path = "resolve:walked"
+        elif solver.stats["pivots"] == pivots:
+            path = "resolve:certified"
+        else:
+            path = "resolve:resumed"
         self.stats["resolves"] += 1
         stats = self._collect(path=path)
+        stats["nomination"] = nomination
         if status is UNBOUNDED:
             return LPSolution(LPStatus.UNBOUNDED,
                               message="phase-2 unbounded", stats=stats)
         return self._optimal_solution(stats)
-
-    def _resolve_with_float_candidate(self, solver: RevisedSimplex) -> str:
-        """Finish a budget-exhausted re-solve: warm-start a float
-        candidate basis for the *current* costs on the live solver, or
-        resume the plateau walk un-budgeted when no candidate takes."""
-        if self.float_assist:
-            from repro.lp.certify import candidate_bases
-
-            # ``warm_start`` replaces the basis even on a failed
-            # verdict, so remember the (feasible) walk state in case
-            # every candidate is rejected.
-            resume_basis = list(solver.basis)
-            ladder_stats: dict = {}
-            installed = False
-            for _source, basis in candidate_bases(
-                    self.form, ladder_stats,
-                    max_iterations=self.max_iterations,
-                    bland_trigger=self.bland_trigger):
-                if solver.warm_start(basis) is WARM_READY:
-                    installed = True
-                    self.stats["resolve_rescues"] = (
-                        self.stats.get("resolve_rescues", 0) + 1
-                    )
-                    break
-            if not installed:
-                verdict = solver.warm_start(resume_basis)
-                assert verdict is WARM_READY, verdict
-            for key in ("float_pivots", "float_factorizations",
-                        "time_float"):
-                if key in ladder_stats:
-                    self.stats[key] = (
-                        self.stats.get(key, 0) + ladder_stats[key]
-                    )
-        return solver._run_phase(solver.phase2_costs(), 2)
 
     def _collect(self, path: str) -> dict:
         """Fold the live solver's counter deltas into the cumulative

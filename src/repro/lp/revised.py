@@ -58,10 +58,6 @@ from repro.lp.standard import (
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-#: `_run_phase` hit its optional pivot budget before terminating; the
-#: solver state is a consistent feasible basis and may be resumed (or
-#: warm-started elsewhere).  Only returned when a budget is passed.
-PIVOT_LIMIT = "pivot-limit"
 
 #: warm_start verdicts
 WARM_READY = "ready"
@@ -305,18 +301,13 @@ class RevisedSimplex:
     # -- simplex driver ---------------------------------------------------
 
     @exact_method("lp-phase")
-    def _run_phase(self, costs: list[object], phase: int,
-                   pivot_budget: int | None = None) -> str:
-        """Pivot until optimal/unbounded, or until ``pivot_budget``
-        pivots were spent (``PIVOT_LIMIT``; state stays resumable)."""
+    def _run_phase(self, costs: list[object], phase: int) -> str:
+        """Pivot until optimal or unbounded; returns the status."""
         self.phase = phase
         bland = False
         degenerate_run = 0
-        spent = 0
         d = None
         for _ in range(self.max_iterations):
-            if pivot_budget is not None and spent >= pivot_budget:
-                return PIVOT_LIMIT
             if d is None:
                 d = self._reduced_costs(costs)
             entering = self._entering(d, bland)
@@ -332,7 +323,6 @@ class RevisedSimplex:
             else:
                 self._update_reduced_costs(d, self._pivot_row(leaving),
                                            entering)
-            spent += 1
             self.stats["pivots"] += 1
             self.stats[f"phase{phase}_pivots"] += 1
             if bland:
@@ -393,9 +383,7 @@ class RevisedSimplex:
         feasible (all basic values nonnegative, artificials at zero);
         resume with ``_run_phase(phase2_costs(), 2)``.
         """
-        if len(basis) != self.m or len(set(basis)) != self.m:
-            return WARM_SINGULAR
-        if any(j < 0 or j >= self.n + self.m for j in basis):
+        if not self._is_basis_shaped(basis):
             return WARM_SINGULAR
         self.basis = list(basis)
         self.in_basis = [False] * (self.n + self.m)
@@ -403,6 +391,49 @@ class RevisedSimplex:
             self.in_basis[j] = True
         if not self._refactorize():
             return WARM_SINGULAR
+        return self._feasibility_verdict()
+
+    @exact_method("lp-exchange")
+    def exchange_basis(self, basis: list[int]) -> str:
+        """Move the live basis onto the columns of ``basis`` by column
+        exchanges on the current factorization; a ``WARM_*`` verdict.
+
+        Each column of ``basis`` that is not yet basic enters with one
+        ``ftran`` and one eta push.  It replaces, among the basic
+        columns that ``basis`` lacks, the lowest-indexed one it has a
+        nonzero coordinate on.  When none qualifies the entering column
+        lies in the span of columns ``basis`` keeps, so ``basis`` is
+        singular.  No fresh LU is taken unless the eta file crosses its
+        refactorization policy, as on any pivot.
+
+        Any verdict but ``ready`` leaves a half-exchanged basis that
+        the caller must replace; ``ready`` is :meth:`warm_start`'s.
+        """
+        if not self._is_basis_shaped(basis):
+            return WARM_SINGULAR
+        target = set(basis)
+        tol = self.pivot_tol
+        for entering in basis:
+            if self.in_basis[entering]:
+                continue
+            w = self._ftran(self.cols[entering])
+            row = -1
+            for i, wi in enumerate(w):
+                if ((wi > tol or wi < -tol) and self.basis[i] not in target
+                        and (row < 0 or self.basis[i] < self.basis[row])):
+                    row = i
+            if row < 0:
+                return WARM_SINGULAR
+            self._pivot(row, entering, w)
+        return self._feasibility_verdict()
+
+    def _is_basis_shaped(self, basis: list[int]) -> bool:
+        """``m`` distinct column indices, structural or artificial."""
+        return (len(basis) == self.m and len(set(basis)) == self.m
+                and all(0 <= j < self.n + self.m for j in basis))
+
+    def _feasibility_verdict(self) -> str:
+        """``ready`` iff ``x_B >= 0`` with basic artificials at zero."""
         for i, value in enumerate(self.xb):
             if value < -self.feas_tol:
                 return WARM_INFEASIBLE

@@ -93,6 +93,25 @@ class TestIncrementalRefutationEquivalence:
         assert cold.witness_input == result.witness_input
 
 
+class TestRefutationWorkGuard:
+    def test_join_certifies_each_witness_without_walking(self):
+        # Deterministic work guard: HiGHS nominates each witness's
+        # optimal basis and exact pricing certifies it, so the loop
+        # does almost no exact pivots.  Walking the degenerate optimal
+        # face from the first optimum took 874 pivots and 5
+        # factorizations; the slack absorbs other HiGHS versions.
+        pair = next(p for p in SUITE if p.name == "join")
+        old, new = load_pair("join")
+        result = refute_threshold(
+            old, new, Fraction(pair.tight) - 1, pair.config("exact-warm")
+        )
+        stats = result.lp_stats
+        assert stats["incremental"] is True
+        assert result.guaranteed_difference == 10000
+        assert stats["pivots"] <= 50
+        assert stats["factorizations"] <= 5
+
+
 class TestWitnessDeduplication:
     def test_degenerate_box_yields_single_witness(self):
         source = """

@@ -338,25 +338,6 @@ class TestIncrementalAgainstColdOracles:
         reference = RevisedSimplexBackend().solve(patched_model(8))
         assert objective == reference.objective_value
 
-    def test_budget_exhausted_resolve_is_rescued(self, monkeypatch):
-        # A 1-pivot budget forces every re-solve through the rescue
-        # path (float candidate warm-started on the live solver); the
-        # optima must stay bit-identical to cold solves.
-        monkeypatch.setattr(IncrementalLP, "RESOLVE_PIVOT_BUDGET", 1)
-        rng = random.Random(SEED + 4)
-        rescued = 0
-        for trial in range(10):
-            model = make_random_lp(rng)
-            incremental = IncrementalLP(model)
-            for _ in range(3):
-                solution = incremental.solve(_random_objective(rng))
-                exact = RevisedSimplexBackend().solve(model)
-                assert solution.status == exact.status, trial
-                if solution.status is LPStatus.OPTIMAL:
-                    assert solution.objective_value == exact.objective_value
-            rescued += incremental.stats.get("resolve_rescues", 0)
-        assert rescued > 0
-
     def test_dual_simplex_certifies_infeasibility(self):
         x = AffineExpr.variable("x")
         model = LPModel()
@@ -374,6 +355,165 @@ class TestIncrementalAgainstColdOracles:
         solution = incremental.update_upper("x", 4)
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective_value == 2
+
+
+def _resolve_population(seed: int, trials: int = 20, **options):
+    """Stats of every objective re-solve over the seeded population,
+    each checked against ``RevisedSimplexBackend``'s cold solve: same
+    status, bit-identical ``Fraction`` optimum, feasible values."""
+    rng = random.Random(seed)
+    resolves = []
+    for trial in range(trials):
+        model = make_random_lp(rng)
+        incremental = IncrementalLP(model, **options)
+        for _ in range(4):
+            solution = incremental.solve(_random_objective(rng))
+            cold = RevisedSimplexBackend().solve(model)
+            assert solution.status == cold.status, trial
+            if solution.status is LPStatus.OPTIMAL:
+                assert solution.objective_value == cold.objective_value
+                assert isinstance(solution.objective_value, Fraction)
+                assert model.check_assignment(solution.values) == []
+            if solution.stats["path"].startswith("resolve:"):
+                resolves.append((solution.status, solution.stats))
+    return resolves
+
+
+def _random_nominations(seed: int):
+    """A stand-in for ``candidate_bases`` nominating random column sets:
+    singular, primal infeasible and feasible ones all occur."""
+    rng = random.Random(seed)
+
+    def nominate(form, stats, **_options):
+        columns = range(form.num_cols + form.num_rows)
+        yield "scipy", rng.sample(columns, form.num_rows)
+    return nominate
+
+
+def _watch_walk_starts(monkeypatch) -> list:
+    """After every rejected nomination, check that the solver is back
+    at its anchor before it walks: the anchor basis, a factorization
+    of exactly that basis, ``x_B = B^-1 b`` and primal feasibility.
+    Returns ``[(verdict, refactorized during the exchange)]``."""
+    original = IncrementalLP._exchange_nomination
+    rejected = []
+
+    def watched(self):
+        refactorizations = self.solver.stats["refactorizations"]
+        verdict = original(self)
+        if verdict in (WARM_SINGULAR, WARM_INFEASIBLE):
+            solver = self.solver
+            assert solver.basis == self._anchor[0]
+            for position, column in enumerate(solver.basis):
+                unit = solver.fact.ftran(solver.cols[column])
+                assert unit == [int(i == position) for i in range(solver.m)]
+            assert solver.xb == solver.fact.ftran_dense(solver.b)
+            assert solver._feasibility_verdict() is WARM_READY
+            # ``warm_start`` of the anchor counts one refactorization
+            # of its own.
+            refactorized = (solver.stats["refactorizations"]
+                            > refactorizations + 1)
+            rejected.append((verdict, refactorized))
+        return verdict
+
+    monkeypatch.setattr(IncrementalLP, "_exchange_nomination", watched)
+    return rejected
+
+
+class TestResolveBranches:
+    """Each objective re-solve rewinds to its anchor basis, exchanges
+    the live basis onto a HiGHS-nominated one and resumes exact phase
+    2; a rejected or missing nomination walks from the anchor.  Every
+    branch must give the cold solver's bit-identical optimum."""
+
+    def test_nominated_basis_is_exchanged_in(self):
+        resolves = _resolve_population(SEED + 4)
+        exchanged = [stats for _status, stats in resolves
+                     if stats["nomination"] is WARM_READY]
+        assert len(exchanged) >= 10
+        assert any(stats["path"] == "resolve:certified"
+                   for stats in exchanged)
+        for stats in exchanged:
+            assert stats["path"] in ("resolve:certified", "resolve:resumed")
+            # Column exchanges on the live factorization: eta pushes,
+            # no fresh LU.
+            assert "factorizations" not in stats
+            if stats["path"] == "resolve:certified":
+                assert "pivots" not in stats
+
+    def test_rejected_nomination_walks_from_the_anchor(self, monkeypatch):
+        monkeypatch.setattr(certify, "candidate_bases",
+                            _random_nominations(SEED + 5))
+        rejected = _watch_walk_starts(monkeypatch)
+        resolves = _resolve_population(SEED + 4)
+        verdicts = {stats["nomination"] for _status, stats in resolves}
+        assert {WARM_SINGULAR, WARM_INFEASIBLE} <= verdicts
+        assert {verdict for verdict, _ in rejected} == {
+            WARM_SINGULAR, WARM_INFEASIBLE}
+        for _status, stats in resolves:
+            if stats["nomination"] is not WARM_READY:
+                assert stats["path"] == "resolve:walked"
+
+    def test_refactorizing_exchange_is_rejected_back_to_the_anchor(
+            self, monkeypatch):
+        # A one-eta file refactorizes on every exchange, so a rejected
+        # nomination cannot be undone by truncating the eta file: the
+        # anchor basis must be factorized afresh.
+        monkeypatch.setattr(certify, "candidate_bases",
+                            _random_nominations(SEED + 6))
+        rejected = _watch_walk_starts(monkeypatch)
+        _resolve_population(SEED + 4, eta_limit=1)
+        assert any(refactorized for _verdict, refactorized in rejected)
+
+    def test_missing_nomination_walks_from_the_anchor(self, monkeypatch):
+        # Unbounded objectives get no HiGHS basis.
+        resolves = _resolve_population(SEED + 4)
+        unbounded = [stats for status, stats in resolves
+                     if status is LPStatus.UNBOUNDED]
+        assert unbounded
+        for stats in unbounded:
+            assert stats["nomination"] == "none"
+            assert stats["path"] == "resolve:walked"
+        # Without scipy nothing is nominated: the float simplex only
+        # nominates for cold solves.
+        monkeypatch.setattr(certify, "USE_SCIPY", False)
+        resolves = _resolve_population(SEED + 4)
+        assert {status for status, _ in resolves} >= {
+            LPStatus.OPTIMAL, LPStatus.UNBOUNDED}
+        for _status, stats in resolves:
+            assert stats["nomination"] == "none"
+            assert stats["path"] == "resolve:walked"
+
+    def test_cold_unbounded_solve_anchors_its_own_solver(self):
+        # A bound tweak after an unbounded re-solve finds no dual
+        # feasible basis and solves cold on a new solver; the next
+        # re-solve must rewind to that solver's basis, never to the
+        # replaced solver's anchor.
+        rng = random.Random(SEED + 7)
+        cold_unbounded = 0
+        for trial in range(40):
+            model = make_random_lp(rng)
+            model.add_variable("v0", -12, 12)
+            incremental = IncrementalLP(model)
+            for upper in (9, 5, 2):
+                for _ in range(2):
+                    objective = AffineExpr.zero()
+                    for name in ("v0", "v1", "v2", "v3"):
+                        coeff = rng.randint(-2, 2)
+                        if name in incremental.form.recover:
+                            objective = (objective
+                                         + coeff * AffineExpr.variable(name))
+                    solution = incremental.solve(objective)
+                    cold = RevisedSimplexBackend().solve(model)
+                    assert solution.status == cold.status, trial
+                    if solution.status is LPStatus.OPTIMAL:
+                        assert (solution.objective_value
+                                == cold.objective_value), trial
+                solution = incremental.update_upper("v0", upper)
+                if (solution.stats["path"].startswith("cold")
+                        and solution.status is LPStatus.UNBOUNDED):
+                    cold_unbounded += 1
+        assert cold_unbounded > 0
 
 
 class TestTable1ExactParity:

@@ -38,7 +38,6 @@ from repro.lp import (
 from repro.lp.revised import (
     INFEASIBLE,
     OPTIMAL,
-    PIVOT_LIMIT,
     UNBOUNDED,
     RevisedSimplex,
 )
@@ -72,14 +71,11 @@ class ReferenceSimplex(RevisedSimplex):
                     best_j, best_reduced = j, reduced
         return best_j
 
-    def _run_phase(self, costs, phase, pivot_budget=None):
+    def _run_phase(self, costs, phase):
         self.phase = phase
         bland = False
         degenerate_run = 0
-        spent = 0
         for _ in range(self.max_iterations):
-            if pivot_budget is not None and spent >= pivot_budget:
-                return PIVOT_LIMIT
             y = self.fact.btran([costs[b] for b in self.basis])
             entering = self._price(costs, y, bland)
             if entering < 0:
@@ -89,7 +85,6 @@ class ReferenceSimplex(RevisedSimplex):
             if leaving < 0:
                 return UNBOUNDED
             theta = self._pivot(leaving, entering, w)
-            spent += 1
             self.stats["pivots"] += 1
             self.stats[f"phase{phase}_pivots"] += 1
             if bland:

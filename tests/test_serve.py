@@ -32,6 +32,7 @@ from repro.engine import ResultCache, run_batch, shard_pairs, discover_pairs
 from repro.engine import scheduler
 from repro.engine.batch import batch_to_json
 from repro.engine.executor import ParallelExecutor
+from repro.faults import FaultPlan, set_plan
 from repro.serve import (
     AnalysisServer,
     ServeError,
@@ -608,6 +609,14 @@ class TestPortfolioRequests:
         """A best-mode deadline only abandons the *stragglers*: rungs
         that resolved before the deadline (here: cache-hit scipy rungs)
         still yield a chosen threshold instead of a blanket timeout."""
+        # The uncached exact-warm rung is the straggler: a delay rule
+        # holds it past the deadline whatever the host's speed.  Set
+        # before the server forks its workers, which inherit the plan.
+        # (The glob avoids "[", which fnmatch reads as a character set.)
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "job.delay", "name": "*:exact-warm]",
+             "seconds": 30, "max_attempts": 0}]}))
+
         async def scenario():
             server = await started_server(tmp_path)
             try:
@@ -622,8 +631,8 @@ class TestPortfolioRequests:
                                     "max_products": products,
                                     "lp_backend": "scipy"}})
                     assert status == 200
-                # The uncached exact-warm rung takes ~3s; the cached
-                # rungs resolve in milliseconds.
+                # The delayed exact-warm rung outlasts the deadline;
+                # the cached rungs resolve in milliseconds.
                 status, body = await http_json(
                     server.port, "POST", "/analyze",
                     {"old_source": SLOW_OLD, "new_source": SLOW_NEW,
@@ -640,7 +649,10 @@ class TestPortfolioRequests:
             finally:
                 await server.stop()
 
-        run_async(scenario())
+        try:
+            run_async(scenario())
+        finally:
+            set_plan(None)
 
     def test_portfolio_first_mode_selection(self, tmp_path):
         async def scenario():
