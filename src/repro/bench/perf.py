@@ -233,7 +233,6 @@ def build_profile(report: dict[str, Any]) -> dict[str, Any]:
 _REFUTE_STAT_KEYS = (
     "solves", "factorizations", "refactorizations", "pivots",
     "eta_pivots", "max_eta", "resolves", "dual_resolves",
-    "float_factorizations",
 )
 
 

@@ -87,13 +87,15 @@ class HeartbeatMonitor(threading.Thread):
         self.registry = registry
         self.client = client
         self.interval = interval
-        self._stop = threading.Event()
+        # Not ``_stop``: ``threading.Thread.join`` calls a method of
+        # that name, which an attribute would shadow.
+        self._halt = threading.Event()
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()
 
     def run(self) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._halt.wait(self.interval):
             self.beat()
 
     def beat(self) -> None:

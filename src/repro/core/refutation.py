@@ -111,7 +111,7 @@ def default_witnesses(old_system: TransitionSystem,
 _LP_COUNTER_KEYS = (
     "pivots", "phase1_pivots", "phase2_pivots", "dual_pivots",
     "degenerate_pivots", "bland_pivots", "refactorizations",
-    "factorizations", "eta_pivots", "float_pivots", "float_factorizations",
+    "factorizations", "eta_pivots",
 )
 
 

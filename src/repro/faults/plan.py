@@ -11,13 +11,14 @@ failures to inject *where*::
        {"site": "server.drop", "name": "/analyze", "times": 1}]}
 
 Every rule is matched deterministically: by the job's display ``name``
-(:mod:`fnmatch` glob — portfolio rung names embed the rung, so
-"kill the 2nd rung of pair X" is just ``name="X[d2*"``), by a hex
-prefix of its content-addressed key, by job ``kind``, and by the
-*attempt* number.  ``max_attempts`` is the self-healing hook: a rule
-with ``max_attempts=1`` fires on the first attempt only, so the retry
-of the same job deterministically succeeds.  ``times`` caps how often
-a rule fires per process.
+(verbatim, or as an :mod:`fnmatch` glob — portfolio rung names embed
+the rung, so "kill the exact-warm rung of pair X" is
+``name="X[d2K2:exact-warm]"``, and "kill every degree-2 rung of pair X"
+is ``name="X[d2*"``), by a hex prefix of its content-addressed key, by
+job ``kind``, and by the *attempt* number.  ``max_attempts`` is the
+self-healing hook: a rule with ``max_attempts=1`` fires on the first
+attempt only, so the retry of the same job deterministically succeeds.
+``times`` caps how often a rule fires per process.
 
 The ``seed`` drives the corruption bytes of ``cache.corrupt``, keyed
 per entry, so a chaos run is reproducible bit for bit.
@@ -103,8 +104,11 @@ class FaultRule:
     site:
         Injection site, one of :data:`FAULT_SITES`.
     name:
-        :mod:`fnmatch` glob over the display name at the site (job
-        name / request path).  Default matches everything.
+        The display name at the site (job name / request path),
+        matched verbatim or as an :mod:`fnmatch` glob.  A verbatim
+        name matches even where the glob reading differs: a rung name
+        like ``"X[d2K2:exact-warm]"`` would otherwise be read as ``X``
+        plus one character from a set.  Default matches everything.
     key_prefix:
         Hex prefix of the job's content-addressed key ("" = any).
     kind:
@@ -162,7 +166,7 @@ class FaultRule:
             return False
         if self.key_prefix and not key.startswith(self.key_prefix):
             return False
-        if not fnmatch(name, self.name):
+        if name != self.name and not fnmatch(name, self.name):
             return False
         return fnmatch(kind, self.kind) if kind else self.kind in ("*", "")
 

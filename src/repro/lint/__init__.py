@@ -29,7 +29,8 @@ fork-safe worker code.  This package enforces them *before* the fact:
   raises :class:`~repro.lint.sanitizer.ExactnessViolation` with the
   offending call site, while
   :func:`~repro.lint.sanitizer.float_stage` re-opens the declared
-  float warm-start boundary.
+  float warm-start boundary: the HiGHS candidate basis in
+  :mod:`repro.lp.certify`, the only float stage of the exact LP path.
 """
 
 from repro.lint.contracts import DEFAULT_CONTRACTS, Contracts

@@ -90,9 +90,9 @@ class Contracts:
 
 #: The repository's own contracts.  Scope notes:
 #:
-#: - ``lp/revised.py`` and ``lp/certify.py`` are declared exact even
-#:   though both host the float warm-start stage: that stage *is* the
-#:   declared boundary, carried by ``# lint: allow[float-stage]``
+#: - ``lp/certify.py`` is declared exact even though it hosts the float
+#:   warm-start stage (the HiGHS candidate basis): that stage *is* the
+#:   declared boundary, carried by ``# lint: allow[float-cast]``
 #:   pragmas at the stage functions (and by
 #:   :func:`repro.lint.sanitizer.float_stage` at run time).
 #: - Determinism functions are exactly the producers of canonical

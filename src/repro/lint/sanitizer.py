@@ -5,9 +5,9 @@ With ``REPRO_SANITIZE=1``, entering an :func:`exact_region` replaces
 :class:`ExactnessViolation` naming the offending call site, while
 ``isinstance(x, float)`` / ``issubclass(cls, float)`` keep answering
 against the real ``float`` type.  :func:`float_stage` re-opens the
-declared float warm-start boundary inside a region (scipy/float
-simplex candidate generation).  Without the environment switch both
-context managers are no-ops costing one dict lookup.
+declared float warm-start boundary inside a region (the HiGHS
+candidate basis of :mod:`repro.lp.certify`).  Without the environment
+switch both context managers are no-ops costing one dict lookup.
 
 Scope and caveats:
 
@@ -88,15 +88,14 @@ def _disarm() -> None:
 
 
 class exact_region:
-    """Context manager marking an exact LP solve.  ``active=False``
-    (e.g. a float-mode solver sharing the code path) degrades to a
-    no-op, as does an unset ``REPRO_SANITIZE``."""
+    """Context manager marking an exact LP solve; a no-op while
+    ``REPRO_SANITIZE`` is unset."""
 
     __slots__ = ("label", "active")
 
-    def __init__(self, label: str, active: bool = True):
+    def __init__(self, label: str):
         self.label = label
-        self.active = active and sanitizer_enabled()
+        self.active = sanitizer_enabled()
 
     def __enter__(self) -> "exact_region":
         if self.active:
@@ -142,16 +141,13 @@ class float_stage:
 
 
 def exact_method(label: str):
-    """Decorator wrapping a method in an :class:`exact_region`;
-    instances with a truthy ``float_mode`` attribute deactivate it
-    (the float solver deliberately shares these code paths)."""
+    """Decorator wrapping a method in an :class:`exact_region`."""
     import functools
 
     def decorate(method):
         @functools.wraps(method)
         def wrapper(self, *args, **kwargs):
-            with exact_region(label,
-                              active=not getattr(self, "float_mode", False)):
+            with exact_region(label):
                 return method(self, *args, **kwargs)
         return wrapper
     return decorate

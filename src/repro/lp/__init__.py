@@ -10,16 +10,18 @@ registry of interchangeable backends:
 - :class:`RevisedSimplexBackend` (``exact``) — sparse revised simplex
   over exact rationals (Dantzig pricing, Bland fallback; reduced costs
   priced once per phase and kept across pivots by pivot-row updates);
-- :class:`WarmStartExactBackend` (``exact-warm``) — float warm start
-  (HiGHS or the revised simplex over floats) whose candidate basis is
-  refactorized and certified — or repaired — in exact arithmetic;
+- :class:`WarmStartExactBackend` (``exact-warm``) — HiGHS warm start
+  whose candidate basis is refactorized and certified — or repaired —
+  in exact arithmetic;
 - :class:`DenseSimplexBackend` (``exact-dense``) — the seed's dense
   tableau simplex, kept as perf baseline and cross-check oracle.
 
 ``ExactSimplexBackend`` remains as an alias of the backend registered
 under the name ``"exact"``.
 
-All sparse exact solvers share one basis kernel
+scipy (with numpy) is a required dependency: it is both the default
+backend and the nominator of every ``exact-warm`` basis.  All sparse
+exact solvers share one exact-only basis kernel
 (:class:`~repro.lp.basis.BasisFactorization`: sparse LU + eta-file
 updates with periodic refactorization), one pricing scheme (the kept
 reduced costs of :mod:`repro.lp.revised`) and one dual simplex

@@ -5,12 +5,11 @@ experimental pricing rules) plug in without touching consumers:
 
 - ``scipy`` — floating point, ``scipy.optimize.linprog`` (HiGHS);
 - ``exact`` — sparse revised simplex over rationals;
-- ``exact-warm`` — float warm start with exact rational certification;
+- ``exact-warm`` — HiGHS warm start with exact rational certification;
 - ``exact-dense`` — the seed's dense tableau simplex (perf baseline and
   cross-check oracle).
 
-Factories import their implementation modules lazily: looking up the
-name list (config validation, CLI choices) never pays for scipy/numpy.
+Each factory imports its implementation module when first called.
 """
 
 from __future__ import annotations

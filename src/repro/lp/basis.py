@@ -6,16 +6,15 @@ and ``btran`` (``y = B^{-T} c``: the simplex multipliers, or for a unit
 ``c`` a row of ``B^{-1}``, from which the pivot row is built).  The seed
 kept ``B^{-1}`` as an explicit dense matrix and rebuilt it with
 elementary row operations on every pivot — ``O(m^2)`` arithmetic (on
-ever-growing ``Fraction``s in exact mode) per pivot even when the basis
-is nearly triangular, which Handelman bases always are.
+ever-growing ``Fraction``s) per pivot even when the basis is nearly
+triangular, which Handelman bases always are.
 
 :class:`BasisFactorization` replaces that with the classical
 QSopt_ex/SoPlex scheme:
 
 - a **sparse LU factorization** ``P B = L U`` computed by Gaussian
-  elimination on row dicts.  Exact mode picks the sparsest eligible
-  pivot row (Markowitz-lite, deterministic smallest-index tie-break);
-  float mode picks the largest magnitude (partial pivoting).  ``L`` is
+  elimination on row dicts, picking the sparsest eligible pivot row
+  (Markowitz-lite, deterministic smallest-index tie-break).  ``L`` is
   stored as the ordered list of elimination operations, ``U`` as sparse
   rows — both solve triangular systems in ``O(nnz)``.
 - a **product-form eta file**: a basis change that replaces position
@@ -24,12 +23,13 @@ QSopt_ex/SoPlex scheme:
   Pushing ``(r, w)`` costs ``O(nnz(w))``; each subsequent ftran/btran
   applies the eta (or its transpose) in ``O(nnz(w))``.
 - **periodic refactorization**: the eta file is rebuilt into a fresh LU
-  when it grows past ``eta_limit`` or — exact mode only — when eta
-  entries blow up past ``eta_bit_limit`` bits, which keeps both the
-  per-solve cost and rational entry sizes bounded.
+  when it grows past ``eta_limit`` or when eta entries blow up past
+  ``eta_bit_limit`` bits, which keeps both the per-solve cost and
+  rational entry sizes bounded.
 
-The same code runs over ``Fraction`` and ``float``; callers share one
-``stats`` dict so factorization/eta counters surface in solver stats.
+All arithmetic is over ``Fraction`` and a pivot is any nonzero entry.
+Callers share one ``stats`` dict so factorization/eta counters surface
+in solver stats.
 """
 
 from __future__ import annotations
@@ -42,23 +42,18 @@ from time import perf_counter
 #: the sparse Handelman bases; small enough that exact entries stay tame.
 DEFAULT_ETA_LIMIT = 64
 
-#: Exact mode only: refactorize when any eta entry's numerator plus
-#: denominator exceed this many bits.  A fresh LU of the (small-entry)
-#: basis columns resets the growth.
+#: Refactorize when any eta entry's numerator plus denominator exceed
+#: this many bits.  A fresh LU of the (small-entry) basis columns resets
+#: the growth.
 DEFAULT_ETA_BIT_LIMIT = 8192
 
-#: Float mode: elimination pivots at or below this magnitude count as
-#: zero, so a numerically singular basis is reported instead of divided.
-_FLOAT_PIVOT_TOL = 1e-10
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _bit_size(value) -> int:
-    """Bits in a rational entry (0 for floats: blowup cannot happen)."""
-    if isinstance(value, Fraction):
-        return value.numerator.bit_length() + value.denominator.bit_length()
-    if isinstance(value, int):
-        return value.bit_length()
-    return 0
+def _bit_size(value: Fraction) -> int:
+    """Bits in a rational entry."""
+    return value.numerator.bit_length() + value.denominator.bit_length()
 
 
 class BasisFactorization:
@@ -71,13 +66,11 @@ class BasisFactorization:
     revised simplex (positions and rows coincide dimension-wise).
     """
 
-    def __init__(self, m: int, *, float_mode: bool = False,
+    def __init__(self, m: int, *,
                  eta_limit: int = DEFAULT_ETA_LIMIT,
                  eta_bit_limit: int = DEFAULT_ETA_BIT_LIMIT,
                  stats: dict | None = None):
         self.m = m
-        self.float_mode = float_mode
-        self.zero = 0.0 if float_mode else Fraction(0)
         self.eta_limit = eta_limit
         self.eta_bit_limit = eta_bit_limit
         self.stats = stats if stats is not None else {}
@@ -126,24 +119,14 @@ class BasisFactorization:
         l_ops: list[tuple[int, int, object]] = []
         placed = [False] * m
         for k in range(m):
-            pivot = -1
-            if self.float_mode:
-                best = _FLOAT_PIVOT_TOL
-                for i in range(m):
-                    if placed[i]:
-                        continue
-                    a = rows[i].get(k)
-                    if a is not None and abs(a) > best:
-                        best, pivot = abs(a), i
-            else:
-                best_nnz = None
-                for i in range(m):
-                    if placed[i]:
-                        continue
-                    if rows[i].get(k):
-                        nnz = len(rows[i])
-                        if best_nnz is None or nnz < best_nnz:
-                            best_nnz, pivot = nnz, i
+            pivot, best_nnz = -1, None
+            for i in range(m):
+                if placed[i]:
+                    continue
+                if rows[i].get(k):
+                    nnz = len(rows[i])
+                    if best_nnz is None or nnz < best_nnz:
+                        best_nnz, pivot = nnz, i
             if pivot < 0:
                 return False
             placed[pivot] = True
@@ -163,7 +146,7 @@ class BasisFactorization:
                 for j, pv in prow.items():
                     if j == k:
                         continue
-                    updated = row_i.get(j, self.zero) - factor * pv
+                    updated = row_i.get(j, _ZERO) - factor * pv
                     if updated:
                         row_i[j] = updated
                     elif j in row_i:
@@ -178,7 +161,7 @@ class BasisFactorization:
     def ftran(self, col: dict[int, object]) -> list:
         """``B^{-1} a`` for a sparse column ``a`` ({row: value})."""
         start = perf_counter()
-        v = [self.zero] * self.m
+        v = [_ZERO] * self.m
         for i, value in col.items():
             v[i] = value
         try:
@@ -200,7 +183,7 @@ class BasisFactorization:
             if vp:
                 v[i] = v[i] - factor * vp
         z = [v[p] for p in self.perm]
-        x = [self.zero] * self.m
+        x = [_ZERO] * self.m
         for k in range(self.m - 1, -1, -1):
             u_row = self.u_rows[k]
             total = z[k]
@@ -237,7 +220,7 @@ class BasisFactorization:
                 if vi:
                     total = total - wi * vi
             v[r] = total / wr if total else total
-        z = [self.zero] * self.m
+        z = [_ZERO] * self.m
         for k in range(self.m):
             u_row = self.u_rows[k]
             vk = v[k]
@@ -247,7 +230,7 @@ class BasisFactorization:
                 for j, uv in u_row.items():
                     if j != k:
                         v[j] = v[j] - uv * zk
-        w = [self.zero] * self.m
+        w = [_ZERO] * self.m
         for k, p in enumerate(self.perm):
             w[p] = z[k]
         for i, p, factor in reversed(self.l_ops):
@@ -258,8 +241,8 @@ class BasisFactorization:
 
     def btran_unit(self, position: int) -> list:
         """Row ``position`` of ``B^{-1}`` (``e_r^T B^{-1}``)."""
-        unit = [self.zero] * self.m
-        unit[position] = 1.0 if self.float_mode else Fraction(1)
+        unit = [_ZERO] * self.m
+        unit[position] = _ONE
         return self.btran(unit)
 
     # -- updates -----------------------------------------------------------
@@ -269,14 +252,13 @@ class BasisFactorization:
         whose basis coordinates are ``w`` (dense, ``w[position] != 0``)."""
         start = perf_counter()
         off: dict[int, object] = {}
-        bits = 0 if self.float_mode else _bit_size(w[position])
+        bits = _bit_size(w[position])
         for i, wi in enumerate(w):
             if wi and i != position:
                 off[i] = wi
-                if not self.float_mode:
-                    size = _bit_size(wi)
-                    if size > bits:
-                        bits = size
+                size = _bit_size(wi)
+                if size > bits:
+                    bits = size
         self.etas.append((position, off, w[position]))
         self.stats["eta_pivots"] += 1
         if len(self.etas) > self.stats["max_eta"]:
@@ -290,5 +272,5 @@ class BasisFactorization:
         return len(self.etas)
 
     def needs_refactor(self) -> bool:
-        """True when the eta file is long or exact entries blew up."""
+        """True when the eta file is long or its entries blew up."""
         return len(self.etas) >= self.eta_limit or self._blown

@@ -3,9 +3,8 @@
 The solve ladder, in the style of iteratively-refined exact solvers
 (QSopt_ex, SoPlex):
 
-1. **Float stage** — solve the standard-form LP in floating point:
-   through scipy's HiGHS when importable, otherwise with the revised
-   simplex over floats.  HiGHS's vertex, reduced costs and row duals
+1. **Float stage** — solve the standard-form LP in floating point
+   with scipy's HiGHS.  HiGHS's vertex, reduced costs and row duals
    are crossed over to a basis that is primal and dual feasible up to
    float noise (:func:`_crossover_basis`).  Float answers are never
    trusted; they only nominate a candidate basis.
@@ -20,9 +19,9 @@ The solve ladder, in the style of iteratively-refined exact solvers
    feasible: the dual simplex (:mod:`repro.lp.dual`) re-optimizes from
    the same basis (``path = "dual"``).
 4. **Fallback** — an unusable basis (singular, neither feasibility) or
-   a non-optimal float verdict falls back to the exact two-phase solve
-   (``path = "fallback"``), so every answer is exact regardless of what
-   floating point did.
+   a non-optimal HiGHS verdict (no basis nominated) falls back to the
+   exact two-phase solve (``path = "fallback"``), so every answer is
+   exact regardless of what floating point did.
 
 All reported values are Fractions.  Optima are bit-identical to the
 pure ``exact`` backend's: both terminate at an exactly-verified optimal
@@ -32,15 +31,17 @@ basis of the same LP, and the optimal objective value is unique.
 routine returning the *live* exact solver, which is what
 :class:`~repro.lp.dual.IncrementalLP` builds its factorized-basis
 re-solves on; its re-solves take their nominations from
-:func:`candidate_bases` too.
+:func:`scipy_candidate_basis` too.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator
 
-from repro.errors import LPError
+import numpy
+from scipy.optimize import linprog
+from scipy.sparse import csc_matrix
+
 from repro.lint.sanitizer import float_stage
 from repro.lp.dual import exact_dual_feasible, run_dual_simplex
 from repro.lp.model import LPModel
@@ -61,10 +62,6 @@ from repro.lp.standard import (
     standardize,
 )
 
-#: Tests flip this to force the float-simplex warm-start path even when
-#: scipy is installed.
-USE_SCIPY = True
-
 #: Float values below this are treated as zero during crossover.
 _SUPPORT_TOL = 1e-9
 #: Reduced costs and row duals at or below this, relative to the
@@ -75,18 +72,7 @@ _PRICE_TOL = 1e-9
 _PIVOT_TOL = 1e-7
 
 
-def _scipy_modules():
-    try:
-        import numpy
-        from scipy.optimize import linprog
-        from scipy.sparse import csc_matrix
-    except ImportError:  # pragma: no cover - scipy is an optional extra
-        return None
-    return numpy, linprog, csc_matrix
-
-
-def _crossover_basis(form: SparseStandardForm, result,  # lint: allow[float-cast] declared float warm-start stage
-                     numpy) -> list[int] | None:
+def _crossover_basis(form: SparseStandardForm, result) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
     """Select a basis from HiGHS's vertex solution and its marginals.
 
     A basis is optimal when it holds the vertex's support (so ``x_B``
@@ -164,22 +150,19 @@ def _crossover_basis(form: SparseStandardForm, result,  # lint: allow[float-cast
 
 def scipy_candidate_basis(form: SparseStandardForm,
                           stats: dict) -> list[int] | None:
-    """HiGHS solve + support crossover; None when scipy is unusable."""
-    modules = _scipy_modules()
-    if modules is None:
-        return None
+    """HiGHS solve + support crossover; ``None`` when HiGHS reports no
+    optimum (``stats["float_status"]``) or the crossover finds no
+    basis."""
     start = perf_counter()
     try:
         with float_stage("scipy-candidate"):
-            return _scipy_candidate_basis(form, stats, modules)
+            return _scipy_candidate_basis(form, stats)
     finally:
         stats["time_float"] = (stats.get("time_float", 0.0)
                                + perf_counter() - start)
 
 
-def _scipy_candidate_basis(form: SparseStandardForm, stats: dict,  # lint: allow[float-cast] declared float warm-start stage
-                           modules) -> list[int] | None:
-    numpy, linprog, csc_matrix = modules
+def _scipy_candidate_basis(form: SparseStandardForm, stats: dict) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
     m, n = form.num_rows, form.num_cols
     data, indices, indptr = [], [], [0]
     for col in form.cols:
@@ -201,57 +184,7 @@ def _scipy_candidate_basis(form: SparseStandardForm, stats: dict,  # lint: allow
     stats["float_status"] = int(result.status)
     if result.status != 0 or result.x is None:
         return None
-    return _crossover_basis(form, result, numpy)
-
-
-def float_simplex_candidate_basis(form: SparseStandardForm, stats: dict, *,
-                                  max_iterations: int = 200_000,
-                                  bland_trigger: int = 24,
-                                  ) -> list[int] | None:
-    """Optimal basis of the float revised simplex; None on failure."""
-    start = perf_counter()
-    with float_stage("float-simplex-candidate"):
-        solver = RevisedSimplex(
-            form, float_mode=True, max_iterations=max_iterations,
-            bland_trigger=bland_trigger,
-        )
-    try:
-        with float_stage("float-simplex-candidate"):
-            status = solver.solve_two_phase()
-    except LPError as error:
-        stats["float_simplex_status"] = f"error: {error}"
-        return None
-    finally:
-        stats["time_float"] = (stats.get("time_float", 0.0)
-                               + perf_counter() - start)
-    stats["float_simplex_status"] = status
-    stats["float_pivots"] = solver.stats["pivots"]
-    stats["float_factorizations"] = solver.stats["factorizations"]
-    if status is not OPTIMAL:
-        return None
-    return list(solver.basis)
-
-
-def candidate_bases(form: SparseStandardForm, stats: dict, *,
-                    max_iterations: int = 200_000,
-                    bland_trigger: int = 24,
-                    float_simplex: bool = True,
-                    ) -> Iterator[tuple[str, list[int]]]:
-    """Candidate bases, laziest-first: the float simplex only runs
-    when the scipy basis is absent or fails exact verification, and
-    not at all with ``float_simplex=False``."""
-    if USE_SCIPY:
-        basis = scipy_candidate_basis(form, stats)
-        if basis is not None:
-            yield "scipy", basis
-    if not float_simplex:
-        return
-    basis = float_simplex_candidate_basis(
-        form, stats, max_iterations=max_iterations,
-        bland_trigger=bland_trigger,
-    )
-    if basis is not None:
-        yield "float-simplex", basis
+    return _crossover_basis(form, result)
 
 
 # -- exact stage -----------------------------------------------------------
@@ -263,24 +196,24 @@ def solve_form_exact(form: SparseStandardForm, stats: dict, *,
                      ) -> tuple[RevisedSimplex, str]:
     """Run the full warm-start ladder on ``form``; returns the *live*
     exact solver and its terminal status (``optimal`` / ``unbounded`` /
-    ``infeasible``).  ``stats`` records the path taken, per-candidate
-    verdicts and the float-stage counters.  ``eta_limit`` overrides the
-    exact solvers' refactorization policy (incremental callers keep
-    longer eta files than one-shot solves would).
+    ``infeasible``).  ``stats`` records the path taken, the HiGHS
+    candidate's verdict and the float stage's status and time.
+    ``eta_limit`` overrides the exact solvers' refactorization policy
+    (incremental callers keep longer eta files than one-shot solves
+    would).
     """
     exact_kwargs: dict = {"max_iterations": max_iterations,
                           "bland_trigger": bland_trigger}
     if eta_limit is not None:
         exact_kwargs["eta_limit"] = eta_limit
-    for source, basis in candidate_bases(
-            form, stats, max_iterations=max_iterations,
-            bland_trigger=bland_trigger):
+    basis = scipy_candidate_basis(form, stats)
+    if basis is not None:
         solver = RevisedSimplex(form, **exact_kwargs)
         verdict = solver.warm_start(basis)
-        stats[f"warm_{source}"] = verdict
+        stats["warm_scipy"] = verdict
         if verdict is WARM_READY:
             status = solver._run_phase(solver.phase2_costs(), 2)
-            stats["basis_source"] = source
+            stats["basis_source"] = "scipy"
             stats["path"] = (
                 "certified"
                 if status is OPTIMAL and solver.stats["phase2_pivots"] == 0
@@ -293,7 +226,7 @@ def solve_form_exact(form: SparseStandardForm, stats: dict, *,
             # costs: the dual simplex repairs it in place instead of
             # throwing the factorization away.
             status = run_dual_simplex(solver, solver.phase2_costs())
-            stats["basis_source"] = source
+            stats["basis_source"] = "scipy"
             stats["path"] = "dual"
             return solver, status
 

@@ -5,7 +5,7 @@ basis to start from.  Two situations produce a basis that is dual
 feasible (all reduced costs nonnegative) but primal infeasible, where
 restarting from scratch throws away a perfectly good factorization:
 
-- a float warm-start basis whose exact refactorization reveals a
+- a HiGHS-nominated basis whose exact refactorization reveals a
   negative basic value (:mod:`repro.lp.certify`'s ``dual`` path);
 - a right-hand-side change — e.g. tightening a variable bound — applied
   to a previously *optimal* basis: costs are unchanged, so the basis
@@ -75,10 +75,9 @@ _SOLVER_TIMERS = (
 def exact_dual_feasible(solver: RevisedSimplex, costs: list) -> bool:
     """True iff every nonbasic structural column prices out ``>= 0``.
 
-    Exact for ``Fraction`` solvers; float solvers use their pricing
-    tolerance.  A dual feasible basis is a valid dual-simplex start.
-    The pricing sweep is the rational certification step proper, so it
-    is timed as ``time_certify``.
+    A dual feasible basis is a valid dual-simplex start.  The pricing
+    sweep is the rational certification step proper, so it is timed as
+    ``time_certify``.
     """
     d = solver._reduced_costs(costs, timer="time_certify")
     return solver._entering(d, bland=True) < 0
@@ -95,14 +94,13 @@ def run_dual_simplex(solver: RevisedSimplex, costs: list) -> str:
     redundant-row artificial — are treated as violated in either
     direction and driven back to zero.
     """
-    with exact_region("dual-simplex", active=not solver.float_mode):
+    with exact_region("dual-simplex"):
         return _dual_simplex_loop(solver, costs)
 
 
 def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
     solver.phase = 2
     m, n = solver.m, solver.n
-    feas, ptol = solver.feas_tol, solver.pivot_tol
     in_basis = solver.in_basis
     d = solver._reduced_costs(costs)
     bland = False
@@ -116,13 +114,13 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
         for i in range(m):
             xi = solver.xb[i]
             if solver.basis[i] >= n:
-                if xi > feas:
+                if xi > 0:
                     violation, s = xi, -1
-                elif xi < -feas:
+                elif xi < 0:
                     violation, s = -xi, 1
                 else:
                     continue
-            elif xi < -feas:
+            elif xi < 0:
                 violation, s = -xi, 1
             else:
                 continue
@@ -145,7 +143,7 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
         for j, a in alpha.items():
             if sign < 0:
                 a = -a
-            if a >= -ptol or in_basis[j]:
+            if a >= 0 or in_basis[j]:
                 continue
             ratio = d[j] / (-a)
             if (best_ratio is None or ratio < best_ratio
@@ -162,9 +160,7 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
         solver.stats["dual_pivots"] += 1
         if bland:
             solver.stats["bland_pivots"] += 1
-        degenerate = (best_ratio <= ptol if solver.float_mode
-                      else not best_ratio)
-        if degenerate:
+        if not best_ratio:
             solver.stats["degenerate_pivots"] += 1
             degenerate_run += 1
             if degenerate_run >= solver.bland_trigger:
@@ -185,17 +181,17 @@ class IncrementalLP:
     - :meth:`solve` with a new objective rewinds to the *anchor* (an
       earlier primal feasible basis whose factorization is a prefix of
       the eta file), lets HiGHS nominate a basis for the new costs
-      (:func:`repro.lp.certify.candidate_bases`), moves the live basis
-      onto it by column exchanges — one ``ftran`` and one eta push per
-      entering column, no fresh LU — and resumes exact phase 2.  When
-      the nomination is dual feasible, phase 2 certifies it with zero
-      pivots (``path = "resolve:certified"``);
+      (:func:`repro.lp.certify.scipy_candidate_basis`), moves the live
+      basis onto it by column exchanges — one ``ftran`` and one eta
+      push per entering column, no fresh LU — and resumes exact phase
+      2.  When the nomination is dual feasible, phase 2 certifies it
+      with zero pivots (``path = "resolve:certified"``);
     - :meth:`update_upper` patches the standard form's right-hand side
       in place (the basis stays *dual* feasible when only ``b``
       changes) and repairs primal feasibility with the dual simplex.
 
     The first solve runs the ``exact-warm`` ladder of
-    :func:`repro.lp.certify.solve_form_exact` (float basis + exact
+    :func:`repro.lp.certify.solve_form_exact` (HiGHS basis + exact
     certification).  Every reported value is a ``Fraction``; optima are
     bit-identical to cold solves of the same model because the optimal
     objective value of an LP is unique.
@@ -208,8 +204,9 @@ class IncrementalLP:
     (874 on ``join``'s five witnesses) before pricing proves
     optimality.  HiGHS's reduced costs pick a dual feasible basis of
     that face directly.  A rejected nomination (singular, or primal
-    infeasible) or a missing one (no scipy, an unbounded objective)
-    falls back to that walk from the anchor (``"resolve:walked"``).
+    infeasible) or a missing one (HiGHS found no optimum, e.g. for an
+    unbounded objective) falls back to that walk from the anchor
+    (``"resolve:walked"``).
 
     Constraints (and therefore phase-1 feasibility) never change under
     objective swaps, so one exact infeasibility proof is cached and
@@ -252,6 +249,7 @@ class IncrementalLP:
             self.stats[key] = 0
         for key in _SOLVER_TIMERS:
             self.stats[key] = 0.0
+        self.stats["time_float"] = 0.0  # HiGHS nominations
 
     # -- objectives --------------------------------------------------------
 
@@ -410,11 +408,7 @@ class IncrementalLP:
             eta_limit=self.eta_limit,
         )
         self.solver = solver
-        for key in ("float_pivots", "float_factorizations", "time_float"):
-            if key in ladder_stats:
-                self.stats[key] = (
-                    self.stats.get(key, 0) + ladder_stats[key]
-                )
+        self.stats["time_float"] += ladder_stats.get("time_float", 0.0)
         stats = self._collect(path=f"cold:{ladder_stats.get('path')}")
         if status is INFEASIBLE:
             self._infeasible = True
@@ -484,24 +478,19 @@ class IncrementalLP:
         nominates for the current costs; returns the ``WARM_*`` verdict
         of the exchange, or ``"none"`` when nothing was nominated.
 
-        Only HiGHS nominates: the float simplex would restart from the
-        artificial basis on every witness.  A rejected nomination
-        (singular, or primal infeasible) leaves the solver back at the
-        primal feasible anchor.
+        A rejected nomination (singular, or primal infeasible) leaves
+        the solver back at the primal feasible anchor.
         """
-        from repro.lp.certify import candidate_bases
+        from repro.lp.certify import scipy_candidate_basis
 
         ladder_stats: dict = {}
-        verdict = "none"
-        for _source, basis in candidate_bases(
-                self.form, ladder_stats, float_simplex=False):
-            verdict = self.solver.exchange_basis(basis)
-            if verdict is WARM_READY:
-                break
+        basis = scipy_candidate_basis(self.form, ladder_stats)
+        self.stats["time_float"] += ladder_stats.get("time_float", 0.0)
+        if basis is None:
+            return "none"
+        verdict = self.solver.exchange_basis(basis)
+        if verdict is not WARM_READY:
             self._restore_anchor()
-        if "time_float" in ladder_stats:
-            self.stats["time_float"] = (self.stats.get("time_float", 0.0)
-                                        + ladder_stats["time_float"])
         return verdict
 
     def _resolve(self, costs: list[Fraction]) -> LPSolution:

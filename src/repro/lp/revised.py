@@ -1,4 +1,4 @@
-"""Revised simplex over sparse columns, exact (``Fraction``) or float.
+"""Revised simplex over sparse columns in exact (``Fraction``) arithmetic.
 
 The solver works directly on the sparse columns of a
 :class:`~repro.lp.standard.SparseStandardForm` and keeps the basis as a
@@ -7,7 +7,7 @@ plus a product-form eta file, refactorized periodically.  A pivot costs
 ``O(nnz)`` (one eta push) instead of the ``O(m^2)`` dense-inverse
 update the previous revision paid, and ftran/btran stay sparse
 triangular solves — exactly the QSopt_ex/SoPlex kernel shape, which
-matters doubly in exact mode where every dense entry is a ``Fraction``.
+matters doubly here, where every dense entry is a ``Fraction``.
 
 Pricing is Dantzig (most negative reduced cost, lowest index on ties)
 with a Bland fallback: after :attr:`bland_trigger` consecutive
@@ -25,13 +25,13 @@ pivot builds its pivot row ``alpha = e_r^T B^{-1} A`` (a unit-vector
 ``btran``, then a row-wise view of the columns) and applies
 ``d_j -= (d_q / alpha_q) alpha_j``.  Over ``Fraction`` the kept vector
 equals a fresh pricing, so every pivot choice is the one full pricing
-would make.  Float mode reprices every pivot: float updates drift.
+would make.
 
-The same code runs over floats (``float_mode=True``) with small
-tolerances; the float run is never trusted for answers — it only
-produces candidate bases for :mod:`repro.lp.certify` to verify exactly.
-The dual simplex in :mod:`repro.lp.dual` drives the same basis object,
-so primal and dual pivots share one factorization and one eta file.
+Every sign test compares against exact zero; floats only ever nominate
+a starting basis (:mod:`repro.lp.certify`'s HiGHS stage), which
+:meth:`RevisedSimplex.warm_start` then checks exactly.  The dual
+simplex in :mod:`repro.lp.dual` drives the same basis object, so primal
+and dual pivots share one factorization and one eta file.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ WARM_READY = "ready"
 WARM_SINGULAR = "singular"
 WARM_INFEASIBLE = "infeasible"
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class RevisedSimplex:
     """Two-phase revised simplex over one standard-form instance.
@@ -75,34 +78,20 @@ class RevisedSimplex:
     solved program is always the original one.
     """
 
-    def __init__(self, form: SparseStandardForm, *, float_mode: bool = False,
+    def __init__(self, form: SparseStandardForm, *,
                  max_iterations: int = 200_000, bland_trigger: int = 24,
                  eta_limit: int = DEFAULT_ETA_LIMIT,
                  eta_bit_limit: int = DEFAULT_ETA_BIT_LIMIT):
         self.form = form
-        self.float_mode = float_mode
         self.max_iterations = max_iterations
         self.bland_trigger = bland_trigger
         self.m = form.num_rows
         self.n = form.num_cols
 
-        if float_mode:
-            convert = float
-            self.dual_tol = 1e-9      # entering: reduced cost < -dual_tol
-            self.pivot_tol = 1e-9     # ratio test / elimination pivots
-            self.feas_tol = 1e-7      # phase-1 residual counted infeasible
-        else:
-            convert = Fraction
-            self.dual_tol = 0
-            self.pivot_tol = 0
-            self.feas_tol = 0
-        self.zero = convert(0)
-        self.one = convert(1)
-
-        self.cols: list[dict[int, object]] = [
-            {i: convert(v) for i, v in col.items()} for col in form.cols
+        self.cols: list[dict[int, Fraction]] = [
+            {i: Fraction(v) for i, v in col.items()} for col in form.cols
         ]
-        self.b = [convert(v) for v in form.rhs]
+        self.b = [Fraction(v) for v in form.rhs]
         # Incremental rhs tweaks can leave negative entries; equality
         # rows are sign-invariant, so renormalize for the phase-1
         # artificial start (a no-op for freshly standardized forms).
@@ -117,13 +106,13 @@ class RevisedSimplex:
                         col[i] = -col[i]
         #: Row-wise view of the structural columns, ``{column: value}``
         #: per row, for pivot rows; columns never change after this.
-        self.rows: list[dict[int, object]] = [{} for _ in range(self.m)]
+        self.rows: list[dict[int, Fraction]] = [{} for _ in range(self.m)]
         for j, col in enumerate(self.cols):
             for i, a in col.items():
                 self.rows[i][j] = a
         for row in range(self.m):
-            self.cols.append({row: self.one})  # artificial e_row
-        self.costs = [convert(v) for v in form.costs]
+            self.cols.append({row: _ONE})  # artificial e_row
+        self.costs = [Fraction(v) for v in form.costs]
 
         self.stats: dict[str, object] = {
             "pivots": 0,
@@ -146,8 +135,8 @@ class RevisedSimplex:
         #: LU + eta factors; shares the stats dict so factorization and
         #: eta counters surface directly in solver stats.
         self.fact = BasisFactorization(
-            self.m, float_mode=float_mode, eta_limit=eta_limit,
-            eta_bit_limit=eta_bit_limit, stats=self.stats,
+            self.m, eta_limit=eta_limit, eta_bit_limit=eta_bit_limit,
+            stats=self.stats,
         )
 
         # Phase-1 start: artificial identity basis, x_B = b.
@@ -173,7 +162,7 @@ class RevisedSimplex:
         scratch (``y = B^{-T} c_B``); basic entries are zero."""
         y = self.fact.btran([costs[b] for b in self.basis])
         start = perf_counter()
-        d = [self.zero] * self.n
+        d = [_ZERO] * self.n
         for j in range(self.n):
             if self.in_basis[j]:
                 continue
@@ -220,9 +209,8 @@ class RevisedSimplex:
         """Entering column (structural only), or -1 if dual feasible."""
         start = perf_counter()
         best_j, best = -1, None
-        threshold = -self.dual_tol
         for j, reduced in enumerate(d):  # basic entries are zero
-            if reduced < threshold:
+            if reduced < 0:
                 if bland:
                     best_j = j  # smallest improving index
                     break
@@ -245,15 +233,14 @@ class RevisedSimplex:
         best = None
         xb, basis = self.xb, self.basis
         pinned = self.phase == 2
-        tol = self.pivot_tol
         for i in range(self.m):
             wi = w[i]
             if pinned and basis[i] >= self.n:
-                if wi > tol or wi < -tol:
-                    ratio = self.zero
+                if wi:
+                    ratio = _ZERO
                 else:
                     continue
-            elif wi > tol:
+            elif wi > 0:
                 ratio = xb[i] / wi
             else:
                 continue
@@ -318,18 +305,12 @@ class RevisedSimplex:
             if leaving < 0:
                 return UNBOUNDED
             theta = self._pivot(leaving, entering, w)
-            if self.float_mode:
-                d = None  # floats drift: reprice from scratch
-            else:
-                self._update_reduced_costs(d, self._pivot_row(leaving),
-                                           entering)
+            self._update_reduced_costs(d, self._pivot_row(leaving), entering)
             self.stats["pivots"] += 1
             self.stats[f"phase{phase}_pivots"] += 1
             if bland:
                 self.stats["bland_pivots"] += 1
-            degenerate = (theta <= self.pivot_tol if self.float_mode
-                          else not theta)
-            if degenerate:
+            if not theta:
                 self.stats["degenerate_pivots"] += 1
                 degenerate_run += 1
                 if degenerate_run >= self.bland_trigger:
@@ -343,32 +324,31 @@ class RevisedSimplex:
         """Pivot zero-level basic artificials out where a structural
         column can replace them; rows where none can are redundant and
         stay pinned behind the phase-2 ratio test."""
-        tol = self.pivot_tol
         for row in range(self.m):
             if self.basis[row] < self.n:
                 continue
             replacement = min(
                 (j for j, a in self._pivot_row(row).items()
-                 if (a > tol or a < -tol) and not self.in_basis[j]),
+                 if a and not self.in_basis[j]),
                 default=-1,
             )
             if replacement >= 0:
                 self._pivot(row, replacement, self._ftran(self.cols[replacement]))
 
-    def phase2_costs(self) -> list[object]:
-        return self.costs + [self.zero] * self.m
+    def phase2_costs(self) -> list[Fraction]:
+        return self.costs + [_ZERO] * self.m
 
     @exact_method("lp-two-phase")
     def solve_two_phase(self) -> str:
         """Full solve from the artificial basis; returns a status."""
-        status = self._run_phase([self.zero] * self.n + [self.one] * self.m, 1)
+        status = self._run_phase([_ZERO] * self.n + [_ONE] * self.m, 1)
         if status is not OPTIMAL:  # pragma: no cover - phase 1 is bounded
             raise LPError("phase-1 solve reported unbounded")
-        infeasibility = self.zero
+        infeasibility = _ZERO
         for i, b in enumerate(self.basis):
             if b >= self.n:
                 infeasibility = infeasibility + self.xb[i]
-        if infeasibility > self.feas_tol:
+        if infeasibility > 0:
             return INFEASIBLE
         self._drive_out_artificials()
         return self._run_phase(self.phase2_costs(), 2)
@@ -412,14 +392,13 @@ class RevisedSimplex:
         if not self._is_basis_shaped(basis):
             return WARM_SINGULAR
         target = set(basis)
-        tol = self.pivot_tol
         for entering in basis:
             if self.in_basis[entering]:
                 continue
             w = self._ftran(self.cols[entering])
             row = -1
             for i, wi in enumerate(w):
-                if ((wi > tol or wi < -tol) and self.basis[i] not in target
+                if (wi and self.basis[i] not in target
                         and (row < 0 or self.basis[i] < self.basis[row])):
                     row = i
             if row < 0:
@@ -435,10 +414,9 @@ class RevisedSimplex:
     def _feasibility_verdict(self) -> str:
         """``ready`` iff ``x_B >= 0`` with basic artificials at zero."""
         for i, value in enumerate(self.xb):
-            if value < -self.feas_tol:
+            if value < 0:
                 return WARM_INFEASIBLE
-            if self.basis[i] >= self.n and (value > self.feas_tol
-                                            or value < -self.feas_tol):
+            if self.basis[i] >= self.n and value:
                 # A nonzero artificial means A x = b is violated.
                 return WARM_INFEASIBLE
         return WARM_READY
@@ -447,7 +425,7 @@ class RevisedSimplex:
 
     def assignment(self) -> list[object]:
         """Values of the structural standard-form columns."""
-        values = [self.zero] * self.n
+        values = [_ZERO] * self.n
         for i, b in enumerate(self.basis):
             if b < self.n:
                 values[b] = self.xb[i]
@@ -460,7 +438,7 @@ def _no_constraint_solution(model: LPModel,
     if any(cost < 0 for cost in form.costs):
         return LPSolution(LPStatus.UNBOUNDED,
                           message="no constraints, improving ray")
-    values = recover_values(form, [Fraction(0)] * form.num_cols)
+    values = recover_values(form, [_ZERO] * form.num_cols)
     return LPSolution(LPStatus.OPTIMAL, values=values,
                       objective_value=model_objective_value(model, values))
 

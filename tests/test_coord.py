@@ -444,10 +444,14 @@ class TestClusterBatch:
                 str(tmp_path / "batch"), FAST, registry, client, coord)
         finally:
             if monitor is not None:
+                # Join before lifting the partition: a beat still in
+                # flight would find the node reachable and revive it.
                 monitor.stop()
+                monitor.join(timeout=10)
             set_plan(None)
             for node in nodes:
                 node.stop()
+        assert not monitor.is_alive()
         assert not cluster["aborted"]
         assert cluster["failed_pairs"] == []
         assert cluster["requeues"] + cluster["reassigned"] >= 1
@@ -474,10 +478,14 @@ class TestClusterBatch:
                 str(tmp_path / "batch"), FAST, registry, client, coord)
         finally:
             if monitor is not None:
+                # Join before lifting the partition: a beat still in
+                # flight would find the node reachable and revive it.
                 monitor.stop()
+                monitor.join(timeout=10)
             set_plan(None)
             for node in nodes:
                 node.stop()
+        assert not monitor.is_alive()
         assert cluster["aborted"] is True
         assert merged["partial"] is True
         assert len(cluster["unresolved_pairs"]) == 3

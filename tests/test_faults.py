@@ -144,6 +144,13 @@ class TestRuleMatching:
         assert not rule.matches("worker.crash", "ex2[d1K1]", "3fab", "diff", 0)
         assert not rule.matches("worker.crash", "ex2[d2K1]", "9f00", "diff", 0)
         assert not rule.matches("worker.crash", "ex2[d2K1]", "3fab", "bound", 0)
+        # A rung name matches itself verbatim, although fnmatch alone
+        # reads its brackets as a character set.
+        verbatim = FaultRule(site="job.delay", name="nested[d2K2:exact-warm]")
+        assert verbatim.matches("job.delay", "nested[d2K2:exact-warm]",
+                                "3fab", "diff", 0)
+        assert not verbatim.matches("job.delay", "nested[d2K2:scipy]",
+                                    "3fab", "diff", 0)
 
     def test_max_attempts_gates_retries_through(self):
         once = FaultRule(site="job.error", max_attempts=1)

@@ -338,10 +338,6 @@ class TestSanitizer:
                 float("1.0")
         assert float("1.0") == 1.0
 
-    def test_inactive_region_is_noop(self, sanitized):
-        with exact_region("float-solver", active=False):
-            assert float("4.5") == 4.5
-
     def test_violation_names_call_site(self, sanitized):
         with exact_region("demo"):
             with pytest.raises(ExactnessViolation,

@@ -97,8 +97,9 @@ class TestRandomizedAgreement:
         }
 
     def test_warm_without_scipy_matches_exact(self, monkeypatch):
-        """Force the float-revised-simplex warm-start path."""
-        monkeypatch.setattr(certify, "USE_SCIPY", False)
+        """No HiGHS nomination: the exact two-phase fallback decides."""
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
+                            lambda form, stats: None)
         rng = random.Random(SEED + 1)
         for trial in range(25):
             model = make_random_lp(rng)
@@ -185,7 +186,7 @@ class TestWarmStartPaths:
         solution = WarmStartExactBackend().solve(model)
         assert solution.status is LPStatus.OPTIMAL
         assert solution.stats["path"] in ("certified", "resumed")
-        assert solution.stats["basis_source"] in ("scipy", "float-simplex")
+        assert solution.stats["basis_source"] == "scipy"
 
     def test_infeasible_model_takes_fallback_path(self):
         x = AffineExpr.variable("x")
@@ -195,9 +196,13 @@ class TestWarmStartPaths:
         solution = WarmStartExactBackend().solve(model)
         assert solution.status is LPStatus.INFEASIBLE
         assert solution.stats["path"] == "fallback"
+        # HiGHS reports the infeasibility (status 2) and nominates
+        # nothing; the exact two-phase solve is the only stage after it.
+        assert solution.stats["float_status"] == 2
+        assert not {"float_simplex_status", "float_pivots",
+                    "float_factorizations"} & set(solution.stats)
 
-    def test_certified_path_has_zero_exact_pivots(self, monkeypatch):
-        monkeypatch.setattr(certify, "USE_SCIPY", False)
+    def test_certified_path_has_zero_exact_pivots(self):
         x, y = AffineExpr.variable("x"), AffineExpr.variable("y")
         model = LPModel()
         model.add_variable("x", 0)
@@ -208,8 +213,8 @@ class TestWarmStartPaths:
         solution = WarmStartExactBackend().solve(model)
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective_value == -8
-        if solution.stats["path"] == "certified":
-            assert solution.stats["phase2_pivots"] == 0
+        assert solution.stats["path"] == "certified"
+        assert solution.stats["phase2_pivots"] == 0
 
     def test_warm_start_rejects_bad_bases(self):
         x, y = AffineExpr.variable("x"), AffineExpr.variable("y")
@@ -380,13 +385,13 @@ def _resolve_population(seed: int, trials: int = 20, **options):
 
 
 def _random_nominations(seed: int):
-    """A stand-in for ``candidate_bases`` nominating random column sets:
-    singular, primal infeasible and feasible ones all occur."""
+    """A stand-in for ``scipy_candidate_basis`` nominating random column
+    sets: singular, primal infeasible and feasible ones all occur."""
     rng = random.Random(seed)
 
-    def nominate(form, stats, **_options):
+    def nominate(form, stats):
         columns = range(form.num_cols + form.num_rows)
-        yield "scipy", rng.sample(columns, form.num_rows)
+        return rng.sample(columns, form.num_rows)
     return nominate
 
 
@@ -442,7 +447,7 @@ class TestResolveBranches:
                 assert "pivots" not in stats
 
     def test_rejected_nomination_walks_from_the_anchor(self, monkeypatch):
-        monkeypatch.setattr(certify, "candidate_bases",
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
                             _random_nominations(SEED + 5))
         rejected = _watch_walk_starts(monkeypatch)
         resolves = _resolve_population(SEED + 4)
@@ -459,7 +464,7 @@ class TestResolveBranches:
         # A one-eta file refactorizes on every exchange, so a rejected
         # nomination cannot be undone by truncating the eta file: the
         # anchor basis must be factorized afresh.
-        monkeypatch.setattr(certify, "candidate_bases",
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
                             _random_nominations(SEED + 6))
         rejected = _watch_walk_starts(monkeypatch)
         _resolve_population(SEED + 4, eta_limit=1)
@@ -474,9 +479,9 @@ class TestResolveBranches:
         for stats in unbounded:
             assert stats["nomination"] == "none"
             assert stats["path"] == "resolve:walked"
-        # Without scipy nothing is nominated: the float simplex only
-        # nominates for cold solves.
-        monkeypatch.setattr(certify, "USE_SCIPY", False)
+        # Without a HiGHS nomination every re-solve walks.
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
+                            lambda form, stats: None)
         resolves = _resolve_population(SEED + 4)
         assert {status for status, _ in resolves} >= {
             LPStatus.OPTIMAL, LPStatus.UNBOUNDED}

@@ -11,9 +11,6 @@ test and artificial drive-out — is kept here as the reference solver,
 and every workload below runs under both and must agree pivot for pivot:
 the same ``(entering, row, leaving)`` sequence, status, ``Fraction``
 optimum and solver counters.
-
-Float mode (the no-scipy nominator) still reprices every pivot; its
-candidate bases must be unchanged too.
 """
 
 import random
@@ -64,7 +61,7 @@ class ReferenceSimplex(RevisedSimplex):
             for i, a in self.cols[j].items():
                 if y[i]:
                     reduced = reduced - y[i] * a
-            if reduced < -self.dual_tol:
+            if reduced < 0:
                 if bland:
                     return j
                 if best_reduced is None or reduced < best_reduced:
@@ -89,7 +86,7 @@ class ReferenceSimplex(RevisedSimplex):
             self.stats[f"phase{phase}_pivots"] += 1
             if bland:
                 self.stats["bland_pivots"] += 1
-            if (theta <= self.pivot_tol if self.float_mode else not theta):
+            if not theta:
                 self.stats["degenerate_pivots"] += 1
                 degenerate_run += 1
                 if degenerate_run >= self.bland_trigger:
@@ -108,11 +105,11 @@ class ReferenceSimplex(RevisedSimplex):
             for j in range(self.n):
                 if self.in_basis[j]:
                     continue
-                value = self.zero
+                value = Fraction(0)
                 for i, a in self.cols[j].items():
                     if binv_row[i]:
                         value = value + binv_row[i] * a
-                if value > self.pivot_tol or value < -self.pivot_tol:
+                if value:
                     replacement = j
                     break
             if replacement >= 0:
@@ -129,7 +126,7 @@ def reference_dual_feasible(solver, costs):
         for i, a in solver.cols[j].items():
             if y[i]:
                 reduced = reduced - y[i] * a
-        if reduced < -solver.dual_tol:
+        if reduced < 0:
             return False
     return True
 
@@ -138,7 +135,6 @@ def reference_dual_loop(solver, costs):
     """The dual simplex with a full ``btran(c_B)`` and a column scan of
     the pivot row and the reduced costs before every pivot."""
     solver.phase = 2
-    feas, ptol = solver.feas_tol, solver.pivot_tol
     bland = False
     degenerate_run = 0
     for _ in range(solver.max_iterations):
@@ -146,13 +142,13 @@ def reference_dual_loop(solver, costs):
         for i in range(solver.m):
             xi = solver.xb[i]
             if solver.basis[i] >= solver.n:
-                if xi > feas:
+                if xi > 0:
                     violation, s = xi, -1
-                elif xi < -feas:
+                elif xi < 0:
                     violation, s = -xi, 1
                 else:
                     continue
-            elif xi < -feas:
+            elif xi < 0:
                 violation, s = -xi, 1
             else:
                 continue
@@ -171,11 +167,11 @@ def reference_dual_loop(solver, costs):
         for j in range(solver.n):
             if solver.in_basis[j]:
                 continue
-            alpha = solver.zero
+            alpha = Fraction(0)
             for i, a in solver.cols[j].items():
                 if rho[i]:
                     alpha = alpha + rho[i] * a
-            if alpha >= -ptol:
+            if alpha >= 0:
                 continue
             reduced = costs[j]
             for i, a in solver.cols[j].items():
@@ -191,7 +187,7 @@ def reference_dual_loop(solver, costs):
         solver.stats["dual_pivots"] += 1
         if bland:
             solver.stats["bland_pivots"] += 1
-        if best_ratio <= ptol if solver.float_mode else not best_ratio:
+        if not best_ratio:
             solver.stats["degenerate_pivots"] += 1
             degenerate_run += 1
             if degenerate_run >= solver.bland_trigger:
@@ -215,7 +211,7 @@ def install_reference(patch) -> None:
 def run_both(monkeypatch, workload):
     """``[(output, pivots)]`` of ``workload()`` under the kept reduced
     costs, then under the reference.  ``pivots`` lists every basis
-    change as ``(float_mode, entering, row, leaving)``."""
+    change as ``(entering, row, leaving)``."""
     runs = []
     for reference in (False, True):
         pivots = []
@@ -223,7 +219,7 @@ def run_both(monkeypatch, workload):
 
         def recording(self, row, entering, w, pivots=pivots,
                       original=original):
-            pivots.append((self.float_mode, entering, row, self.basis[row]))
+            pivots.append((entering, row, self.basis[row]))
             return original(self, row, entering, w)
 
         with monkeypatch.context() as patch:
@@ -300,27 +296,11 @@ class TestRandomPopulation:
         assert dual_pivots > 0, "the chains stopped reaching the dual"
         assert len(pivots) > 500
 
-    def test_float_mode_candidate_bases_unchanged(self, monkeypatch):
-        monkeypatch.setattr(certify, "USE_SCIPY", False)
-
-        def workload():
-            rng = random.Random(SEED)
-            bases = []
-            for _ in range(80):
-                form = standardize(build_model(make_spec(rng)))
-                stats: dict = {}
-                bases.append((certify.float_simplex_candidate_basis(
-                    form, stats), stats.get("float_simplex_status"),
-                    stats.get("float_pivots")))
-            return bases
-
-        runs = run_both(monkeypatch, workload)
-        pivots = assert_same_runs(runs)
-        assert sum(1 for basis, *_ in runs[0][0] if basis) >= 20
-        assert pivots and all(float_mode for float_mode, *_ in pivots)
-
     def test_float_nominated_warm_solves_unchanged(self, monkeypatch):
-        monkeypatch.setattr(certify, "USE_SCIPY", False)
+        # Without a HiGHS nomination every warm solve takes the exact
+        # two-phase fallback and every re-solve walks from its anchor.
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
+                            lambda form, stats: None)
         assert_same_runs(run_both(
             monkeypatch, population_workload(SEED + 5, 30)))
 
@@ -392,14 +372,13 @@ class TestDualSimplexPaths:
             return lp
 
         # The optimal basis for demand 3 stays dual feasible at demand
-        # 8 but is primal infeasible there: nominated as the float
+        # 8 but is primal infeasible there: nominated as the HiGHS
         # candidate, certify must repair it with the dual simplex.
         solver = RevisedSimplex(standardize(model(3)))
         assert solver.solve_two_phase() == OPTIMAL
         candidate = list(solver.basis)
-        monkeypatch.setattr(certify, "candidate_bases",
-                            lambda form, stats, **_: iter(
-                                [("scipy", candidate)]))
+        monkeypatch.setattr(certify, "scipy_candidate_basis",
+                            lambda form, stats: candidate)
         runs = run_both(monkeypatch, lambda: solution_record(
             WarmStartExactBackend().solve(model(8))))
         pivots = assert_same_runs(runs)
@@ -429,7 +408,6 @@ class TestKeptVectorIsFresh:
 
         def checking(self, d, alpha, entering):
             update(self, d, alpha, entering)
-            assert not self.float_mode
             assert d == fresh_pricing(self, priced[id(self)])
             checked.append(entering)
 

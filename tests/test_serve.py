@@ -612,9 +612,8 @@ class TestPortfolioRequests:
         # The uncached exact-warm rung is the straggler: a delay rule
         # holds it past the deadline whatever the host's speed.  Set
         # before the server forks its workers, which inherit the plan.
-        # (The glob avoids "[", which fnmatch reads as a character set.)
         set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
-            {"site": "job.delay", "name": "*:exact-warm]",
+            {"site": "job.delay", "name": "nested[d2K2:exact-warm]",
              "seconds": 30, "max_attempts": 0}]}))
 
         async def scenario():
