@@ -7,20 +7,19 @@ recording wall time, solver statistics (pivots, warm-start path,
 refactorizations) and the objective.  Agreement is gated:
 
 - every backend must report the same LP status;
-- all exact backends (``exact``, ``exact-warm``, ``exact-dense``) must
-  return **bit-identical** ``Fraction`` optima;
+- the exact backends (``exact``, ``exact-warm``) must return
+  **bit-identical** ``Fraction`` optima;
 - float backends must match the exact optimum within
   ``float_tolerance`` (absolute + relative).
 
 A second section benchmarks the **refutation batch**: the full witness
-loop of :func:`~repro.core.refutation.refute_threshold` per pair, once
-through the incremental one-encode path
-(:class:`~repro.lp.dual.IncrementalLP`: one factorized basis re-solved
-per witness) and once through the cold path (every witness LP solved
-from scratch — the pre-incremental behaviour).  Both must produce
+loop of :func:`~repro.core.refutation.refute_threshold` per pair (one
+encoding, one :class:`~repro.lp.dual.IncrementalLP` basis re-solved per
+witness) against :func:`refute_per_witness`, a cold reference that
+solves every witness LP in a call of its own.  Both must produce
 bit-identical certified gaps and witnesses (gated like backend
 agreement); the report records factorization counts, eta/refactor
-statistics and the re-solve-versus-cold speedup.
+statistics and the loop-versus-reference speedup.
 
 The JSON report is the repo's perf trajectory: CI runs the harness on a
 small subset every push, uploads the file as an artifact, fails the
@@ -34,13 +33,16 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Sequence
 
 from repro.bench.suite import SUITE, load_pair
-from repro.core.diffcost import THRESHOLD_SYMBOL, DiffCostAnalyzer
+from repro.config import AnalysisConfig
+from repro.core.diffcost import THRESHOLD_SYMBOL, DiffCostAnalyzer, ProgramLike
+from repro.core.refutation import default_witnesses, refute_threshold
+from repro.core.results import RefutationResult
 from repro.errors import AnalysisError
+from repro.invariants.polyhedron import Polyhedron
 from repro.lp.backend import (
     LP_SOLVER_REVISION,
     backend_is_exact,
@@ -53,14 +55,11 @@ from repro.poly.template import TemplatePolynomial
 
 BENCH_SCHEMA_VERSION = 3
 
-#: Default backend set: the dense seed baseline first (speedups are
-#: reported relative to it), then the sparse exact solvers, then float.
-DEFAULT_PERF_BACKENDS: tuple[str, ...] = (
-    "exact-dense", "exact", "exact-warm", "scipy",
-)
+#: Default backend set: the exact solvers, then float.
+DEFAULT_PERF_BACKENDS: tuple[str, ...] = ("exact", "exact-warm", "scipy")
 
-#: Pairs whose exact-dense solve stays in single-digit seconds; the
-#: full suite is available with ``names=None`` / ``--names all``.
+#: Small Table 1 LPs, so that a cold ``exact`` solve of each stays
+#: short; the full suite is available with ``--names all``.
 DEFAULT_PERF_PAIRS: tuple[str, ...] = (
     "simple_single", "ex2", "ex4", "dis2", "sum",
 )
@@ -196,7 +195,7 @@ def build_profile(report: dict[str, Any]) -> dict[str, Any]:
         for name, entry in row.get("backends", {}).items():
             stats = entry.get("stats", {})
             if not any(key.startswith("time_") for key in stats):
-                continue  # backend without phase timers (dense, scipy)
+                continue  # backend without phase timers (scipy)
             _fold_phase_times(phases.setdefault(name, {}), stats)
             tracked[name] = tracked.get(name, 0.0) + entry["seconds"]
     refutation = report.get("refutation")
@@ -236,11 +235,47 @@ _REFUTE_STAT_KEYS = (
 )
 
 
-def _refute_variant(old, new, config) -> dict[str, Any]:
-    start = time.perf_counter()
-    from repro.core.refutation import refute_threshold
+def refute_per_witness(old: ProgramLike, new: ProgramLike,
+                       candidate: float,
+                       config: AnalysisConfig) -> RefutationResult:
+    """Cold reference for the refutation witness loop.
 
-    result = refute_threshold(old, new, REFUTE_BENCH_CANDIDATE, config)
+    Makes one :func:`~repro.core.refutation.refute_threshold` call per
+    default witness, so every witness LP gets an encoding and a cold
+    solve of its own (a fresh :class:`~repro.lp.dual.IncrementalLP` on
+    exact backends).  The first maximal gap wins, as in the loop.
+    Returns the winning call's result, with ``lp_stats`` summed over
+    all calls (``max_eta`` is the maximum).
+    """
+    analyzer = DiffCostAnalyzer(old, new, config)
+    witnesses = default_witnesses(
+        analyzer.old_system, analyzer.new_system,
+        Polyhedron(analyzer.combined_theta0()),
+    )
+    results = [refute_threshold(old, new, candidate, config, [witness])
+               for witness in witnesses]
+    if not results:
+        return refute_threshold(old, new, candidate, config, [])
+    best = results[0]
+    for result in results[1:]:
+        gap = result.guaranteed_difference
+        if gap is not None and (best.guaranteed_difference is None
+                                or gap > best.guaranteed_difference):
+            best = result
+    totals: dict[str, Any] = {}
+    for result in results:
+        for key, value in result.lp_stats.items():
+            if key == "max_eta":
+                totals[key] = max(totals.get(key, 0), value)
+            elif isinstance(value, (int, float)):
+                totals[key] = totals.get(key, 0) + value
+    best.lp_stats = totals
+    return best
+
+
+def _refute_variant(refute, old, new, config) -> dict[str, Any]:
+    start = time.perf_counter()
+    result = refute(old, new, REFUTE_BENCH_CANDIDATE, config)
     elapsed = time.perf_counter() - start
     entry: dict[str, Any] = {"seconds": round(elapsed, 6)}
     for key in _REFUTE_STAT_KEYS:
@@ -256,15 +291,15 @@ def _refute_variant(old, new, config) -> dict[str, Any]:
 
 def run_refutation_batch(names: Sequence[str] | None = None
                          ) -> dict[str, Any]:
-    """Benchmark the refutation witness loop, incremental vs cold.
+    """Benchmark the refutation witness loop against its cold reference.
 
-    Runs :func:`~repro.core.refutation.refute_threshold` per pair twice
-    — ``lp_incremental=True`` (one encode, one factorized basis,
-    re-solves per witness) and ``lp_incremental=False`` (per-witness
-    cold solves, the PR 3 behaviour) — and gates on bit-identical
-    certified gaps and witnesses.  The summary carries the aggregate
-    exact-factorization ratio and wall-clock speedup, which is the
-    number the incremental LP core is accountable for.
+    Runs each pair on ``exact-warm`` twice — through
+    :func:`~repro.core.refutation.refute_threshold` (``incremental``:
+    one encode, one factorized basis, re-solves per witness) and
+    through :func:`refute_per_witness` (``cold``) — and gates on
+    bit-identical certified gaps and witnesses.  The summary carries
+    the aggregate exact-factorization ratio and wall-clock speedup,
+    which is the number the incremental LP core is accountable for.
     """
     selected = list(names) if names else list(DEFAULT_REFUTE_PAIRS)
     rows: list[dict[str, Any]] = []
@@ -277,11 +312,11 @@ def run_refutation_batch(names: Sequence[str] | None = None
             raise AnalysisError(f"unknown benchmark pair {pair_name!r}")
         pair = matches[0]
         old, new = load_pair(pair_name)
-        base = pair.config("exact-warm")
+        config = pair.config("exact-warm")
         row: dict[str, Any] = {"pair": pair_name}
-        for variant, incremental in (("incremental", True), ("cold", False)):
-            config = replace(base, lp_incremental=incremental)
-            entry = _refute_variant(old, new, config)
+        for variant, refute in (("incremental", refute_threshold),
+                                ("cold", refute_per_witness)):
+            entry = _refute_variant(refute, old, new, config)
             row[variant] = entry
             totals[variant] += entry["seconds"]
             factorizations[variant] += entry.get("factorizations", 0)
@@ -370,13 +405,6 @@ def run_lp_perf(names: Sequence[str] | None = None,
         "disagreements": disagreements,
         "warm_start_paths": path_counts,
     }
-    baseline = "exact-dense"
-    if baseline in totals and totals[baseline] > 0:
-        summary["speedup_vs_dense"] = {
-            name: round(totals[baseline] / seconds, 2)
-            for name, seconds in totals.items()
-            if name != baseline and seconds > 0
-        }
     report: dict[str, Any] = {
         "schema": BENCH_SCHEMA_VERSION,
         "generated_by": "repro-diffcost perf",
@@ -394,12 +422,12 @@ def run_lp_perf(names: Sequence[str] | None = None,
     }
     if refutation:
         # An explicit pair selection drives both sections; the defaults
-        # differ (the backend matrix wants cheap-for-dense pairs, the
-        # refutation batch wants witness-heavy ones).
+        # differ (the backend matrix wants small LPs, the refutation
+        # batch wants witness-heavy ones).
         section = run_refutation_batch(names=list(names) if names else None)
         report["refutation"] = section
-        # A gap/witness divergence between the incremental and cold
-        # loops is a solver bug exactly like a backend disagreement.
+        # A gap/witness divergence between the loop and its cold
+        # reference is a solver bug exactly like a backend disagreement.
         summary["disagreements"] += section["summary"]["disagreements"]
     report["profile"] = build_profile(report)
     return report
@@ -440,8 +468,8 @@ def compare_reports(baseline: dict[str, Any], current: dict[str, Any],
 
     Returns human-readable failure strings (empty = pass):
 
-    - any disagreement in the current report (backends or the
-      incremental/cold refutation loops);
+    - any disagreement in the current report (backends, or the
+      refutation loop against its per-witness cold reference);
     - any tracked timing (per-backend totals, refutation totals,
       per-pair incremental refutation) slower than ``max_ratio`` times
       the baseline.  Sub-``50ms`` timings are exempt — they measure
@@ -485,14 +513,13 @@ def format_perf_table(report: dict[str, Any]) -> str:
     summary = report["summary"]
     lines.append("")
     lines.append(f"totals: {summary['seconds_total']}")
-    if "speedup_vs_dense" in summary:
-        lines.append(f"speedup vs exact-dense: {summary['speedup_vs_dense']}")
     if summary["warm_start_paths"]:
         lines.append(f"warm-start paths: {summary['warm_start_paths']}")
     refutation = report.get("refutation")
     if refutation:
         lines.append("")
-        lines.append("refutation batch (incremental vs cold):")
+        lines.append("refutation batch (incremental loop vs per-witness "
+                     "cold reference):")
         header = ["pair", "wit", "inc (s)", "cold (s)", "fact i/c", "agree"]
         lines.append("  ".join(f"{h:>12}" for h in header))
         for row in refutation["rows"]:

@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    repro-diffcost diff OLD.imp NEW.imp [-d 2] [-K 2] [--backend scipy]
+    repro-diffcost diff OLD.imp NEW.imp [-d 2] [-K 2]
+                        [--backend scipy|exact|exact-warm]
     repro-diffcost bound OLD.imp NEW.imp --bound "lenA * lenB"
     repro-diffcost refute OLD.imp NEW.imp --candidate 9999
     repro-diffcost single PROGRAM.imp
@@ -57,10 +58,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="Handelman product bound (default 2)")
     parser.add_argument("--backend", choices=list(available_backends()),
                         default="scipy", help="LP backend")
-    parser.add_argument("--cold-lp", action="store_true",
-                        help="solve every LP cold instead of reusing a "
-                             "factorized basis across re-solves "
-                             "(A/B baseline; answers are identical)")
 
 
 def _config(args: argparse.Namespace) -> AnalysisConfig:
@@ -68,7 +65,6 @@ def _config(args: argparse.Namespace) -> AnalysisConfig:
         degree=args.degree,
         max_products=args.max_products,
         lp_backend=args.backend,
-        lp_incremental=not args.cold_lp,
     )
 
 
@@ -831,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: the curated perf subset)")
     perf.add_argument("--backends", default=None,
                       help="comma-separated backend names "
-                           "(default: exact-dense,exact,exact-warm,scipy)")
+                           "(default: exact,exact-warm,scipy)")
     perf.add_argument("--output", default="BENCH_lp.json",
                       help="report path (default: BENCH_lp.json)")
     perf.add_argument("--repeats", type=int, default=1,
@@ -841,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(absolute + relative)")
     perf.add_argument("--no-refutation", action="store_true",
                       help="skip the refutation-batch section "
-                           "(incremental vs cold witness loops)")
+                           "(witness loop vs per-witness cold reference)")
     perf.add_argument("--baseline", default=None, metavar="JSON",
                       help="diff against a committed BENCH_lp.json "
                            "snapshot; exit 1 on disagreement or timing "

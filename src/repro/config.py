@@ -6,7 +6,7 @@ benchmark harness can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 
@@ -24,43 +24,37 @@ class AnalysisConfig:
         Handelman parameter ``K``: products of at most this many premise
         inequalities (paper default 2).
     lp_backend:
-        Any registered LP backend name: ``"scipy"`` (float, HiGHS —
-        fast), ``"exact"`` (sparse revised simplex over rationals),
-        ``"exact-warm"`` (float warm start + rational certification —
-        the fast exact rung) or ``"exact-dense"`` (the seed's dense
-        tableau simplex, kept as baseline/oracle).
-    lp_incremental:
-        Reuse one factorized basis across LP re-solves that share a
-        constraint system (the refutation witness loop, the threshold
-        search) via :class:`~repro.lp.dual.IncrementalLP` when the
-        backend is exact.  Off = solve every LP cold, the pre-LU
-        behaviour kept for A/B benchmarking; answers are bit-identical
-        either way (LP optima are unique).
+        One of :func:`~repro.lp.backend.available_backends`:
+        ``"scipy"`` (float, HiGHS — fast), ``"exact"`` (sparse revised
+        simplex over rationals) or ``"exact-warm"`` (float warm start +
+        rational certification — the fast exact rung).  Exact backends
+        re-solve LPs that share a constraint system (the refutation
+        witness loop, the threshold search) on one factorized basis
+        via :class:`~repro.lp.dual.IncrementalLP`.
     widening_delay / narrowing_passes:
         Invariant-engine tuning.
-    check_certificates:
-        Re-verify synthesized certificates (empirical run-based check).
-    check_tolerance:
-        Numeric slack allowed when checking float-backend certificates.
-    check_seed / check_samples / check_max_range:
-        Sampling parameters of the run-based certificate check: RNG
-        seed, number of sampled Θ0 inputs, and the per-variable range
-        cap used when an input box is unbounded.
+
+    Every field is keyed into :attr:`repro.engine.jobs.AnalysisJob.key`,
+    so a field here must be one that can change a reported result.
     """
 
     degree: int = 2
     max_products: int = 2
     lp_backend: str = "scipy"
-    lp_incremental: bool = True
     widening_delay: int = 3
     narrowing_passes: int = 2
-    check_certificates: bool = False
-    check_tolerance: float = 1e-6
-    check_seed: int = 2022
-    check_samples: int = 5
-    check_max_range: int = 4
 
     def __post_init__(self):
+        # Overrides arrive as JSON (serve, coord): a string, float or
+        # bool would otherwise be keyed as a config of its own and fail
+        # (or silently run as 0/1) deep inside a worker.
+        for name in ("degree", "max_products", "widening_delay",
+                     "narrowing_passes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise AnalysisError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.degree < 0:
             raise AnalysisError("degree must be nonnegative")
         if self.max_products < 1:
@@ -74,10 +68,6 @@ class AnalysisConfig:
                 f"unknown lp_backend {self.lp_backend!r} "
                 f"(available: {sorted(available_backends())})"
             )
-        if self.check_samples < 1:
-            raise AnalysisError("check_samples must be at least 1")
-        if self.check_max_range < 1:
-            raise AnalysisError("check_max_range must be at least 1")
 
 
 DEFAULT_CONFIG = AnalysisConfig()

@@ -41,7 +41,6 @@ from repro.lp.dual import IncrementalLP
 from repro.lp.model import LPModel
 from repro.lp.solution import LPSolution, LPStatus
 from repro.poly.linexpr import AffineExpr
-from repro.poly.polynomial import Polynomial
 from repro.poly.template import TemplatePolynomial
 from repro.ts.guards import LinIneq
 from repro.ts.system import TransitionSystem
@@ -225,8 +224,6 @@ class DiffCostAnalyzer:
         result.anti_potential_old = extract_certificate(
             old_templates, solution, ANTI_POTENTIAL
         )
-        if self.config.check_certificates:
-            self._check_result(result)
         result.timings = self.stopwatch.as_dict()
         return result
 
@@ -277,33 +274,6 @@ class DiffCostAnalyzer:
             threshold=threshold, feasible=feasible,
             lp_stats=dict(incremental.stats),
         )
-
-    def _check_result(self, result: DiffCostResult) -> None:
-        """Run-based certificate check on sampled Θ0 inputs (opt-in via
-        ``AnalysisConfig.check_certificates``)."""
-        import random
-
-        from repro.core.checker import CertificateChecker, sample_inputs
-
-        with self.stopwatch.phase("checking"):
-            checker = CertificateChecker(
-                tolerance=self.config.check_tolerance
-            )
-            rng = random.Random(self.config.check_seed)
-            inputs = sample_inputs(
-                self.new_system, self.config.check_samples, rng,
-                max_range=self.config.check_max_range,
-            )
-            report = checker.check_diffcost(
-                self.old_system, self.new_system, float(result.threshold),
-                result.potential_new, result.anti_potential_old, inputs,
-            )
-            result.check_report = report
-            if not report.ok:
-                result.message = (
-                    f"certificate check found {len(report.violations)} "
-                    f"violation(s): {report.violations[0]}"
-                )
 
 
 def extract_certificate(templates: TemplateSet, solution: LPSolution,

@@ -13,20 +13,16 @@ a set of witness candidates (box corners and the center of Θ0 by
 default) and keep the best certified gap.
 
 Every witness shares the same constraint system — only the objective
-(the gap at that witness) changes.  With
-``AnalysisConfig.lp_incremental`` (the default) the loop therefore runs
-the Handelman expansion and ``encode_implication`` **once** and swaps
+(the gap at that witness) changes.  The loop therefore runs the
+Handelman expansion and ``encode_implication`` **once** and swaps
 objectives: exact backends re-solve through
 :class:`~repro.lp.dual.IncrementalLP`, which exchanges one LU/eta
 factorization onto a HiGHS-nominated basis per witness and certifies
 it by exact pricing instead of solving cold — one factorization
 amortized over up to 33 witness LPs; float backends re-solve the
-shared model.
-``lp_incremental=False`` restores the original loop verbatim
-(re-encode and solve cold per witness), kept as the A/B baseline the
-perf harness measures against.  The certified gaps are bit-identical
-either way: the optimal value of an LP is unique, whatever basis path
-reaches it.
+shared model.  The certified gaps do not depend on the basis path: the
+optimal value of an LP is unique.  ``repro.bench.perf`` checks this
+against a cold reference that solves each witness in a call of its own.
 """
 
 from __future__ import annotations
@@ -106,28 +102,6 @@ def default_witnesses(old_system: TransitionSystem,
     return [c for c in unique if theta0.contains_point(c)]
 
 
-#: Solver counters worth aggregating across the cold per-witness solves
-#: (mirrors what IncrementalLP totals on the incremental path).
-_LP_COUNTER_KEYS = (
-    "pivots", "phase1_pivots", "phase2_pivots", "dual_pivots",
-    "degenerate_pivots", "bland_pivots", "refactorizations",
-    "factorizations", "eta_pivots",
-)
-
-
-def _accumulate_lp_stats(total: dict, stats: dict) -> None:
-    for key in _LP_COUNTER_KEYS:
-        value = stats.get(key)
-        if value:
-            total[key] = total.get(key, 0) + value
-    for key, value in stats.items():
-        if key.startswith("time_") and isinstance(value, float) and value > 0:
-            total[key] = total.get(key, 0.0) + value
-    max_eta = stats.get("max_eta", 0)
-    if max_eta > total.get("max_eta", 0):
-        total["max_eta"] = max_eta
-
-
 def refute_threshold(old: ProgramLike, new: ProgramLike,
                      candidate: Numeric,
                      config: AnalysisConfig | None = None,
@@ -139,6 +113,7 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
     ones (paper discussion after Theorem 4.3).
     """
     analyzer = DiffCostAnalyzer(old, new, config)
+    stopwatch = analyzer.stopwatch
     old_invariants, new_invariants = analyzer.invariants()
     theta0 = Polyhedron(analyzer.combined_theta0())
     if witnesses is None:
@@ -151,34 +126,31 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
             status=AnalysisStatus.UNKNOWN,
             candidate=candidate,
             message="no witness candidates inside Theta0",
+            timings=stopwatch.as_dict(),
         )
 
     # Certificate constraints are witness-independent: build them once.
-    fresh = FreshNameGenerator()
-    new_templates = TemplateSet.build(
-        analyzer.new_system, analyzer.config.degree, prefix="refute-new"
-    )
-    old_templates = TemplateSet.build(
-        analyzer.old_system, analyzer.config.degree, prefix="refute-old"
-    )
-    constraints = collect_certificate_constraints(
-        analyzer.new_system, new_invariants, new_templates, LOWER, fresh
-    )
-    constraints.extend(
-        collect_certificate_constraints(
-            analyzer.old_system, old_invariants, old_templates, UPPER, fresh
+    with stopwatch.phase("constraints"):
+        fresh = FreshNameGenerator()
+        new_templates = TemplateSet.build(
+            analyzer.new_system, analyzer.config.degree, prefix="refute-new"
         )
-    )
+        old_templates = TemplateSet.build(
+            analyzer.old_system, analyzer.config.degree, prefix="refute-old"
+        )
+        constraints = collect_certificate_constraints(
+            analyzer.new_system, new_invariants, new_templates, LOWER, fresh
+        )
+        constraints.extend(
+            collect_certificate_constraints(
+                analyzer.old_system, old_invariants, old_templates, UPPER,
+                fresh,
+            )
+        )
 
     # One encoding for the whole loop: the Handelman expansion is
     # witness-independent, only the objective changes per witness.
-    # With ``lp_incremental`` off the loop reproduces the pre-LU
-    # behaviour verbatim — re-encode and solve cold per witness — which
-    # is the A/B baseline `BENCH_lp.json`'s refutation section tracks.
-    exact = backend_is_exact(analyzer.config.lp_backend)
-    incremental = analyzer.config.lp_incremental
-
-    def encode_model() -> LPModel:
+    with stopwatch.phase("encoding"):
         model = LPModel()
         encoding_fresh = FreshNameGenerator()
         for constraint in constraints:
@@ -186,59 +158,48 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
                 constraint, model, encoding_fresh,
                 analyzer.config.max_products,
             )
-        return model
 
-    inc = None
-    backend = None
-    shared_model = None
-    if incremental:
-        shared_model = encode_model()
-        if exact:
-            inc = IncrementalLP(shared_model)
-        else:
-            backend = get_backend(analyzer.config.lp_backend)
-    else:
-        backend = get_backend(analyzer.config.lp_backend)
-    lp_stats: dict = {"incremental": incremental, "solves": 0}
-
+    exact = backend_is_exact(analyzer.config.lp_backend)
     best_gap: Fraction | float | None = None
     best_witness: dict[str, int] | None = None
     best_solution = None
-    for witness in witnesses:
-        chi_at_witness = new_templates.at(
-            analyzer.new_system.initial_location
-        ).evaluate_program_vars(witness)
-        phi_at_witness = old_templates.at(
-            analyzer.old_system.initial_location
-        ).evaluate_program_vars(witness)
-        objective = chi_at_witness - phi_at_witness
-        if inc is not None:
-            solution = inc.maximize(objective)
+    with stopwatch.phase("lp"):
+        if exact:
+            inc = IncrementalLP(model)
         else:
-            model = shared_model if shared_model is not None else (
-                encode_model()
-            )
-            model.maximize(objective)
-            solution = backend.solve(model)
-            _accumulate_lp_stats(lp_stats, solution.stats)
-        lp_stats["solves"] += 1
-        if solution.status is not LPStatus.OPTIMAL:
-            continue
-        gap = objective.evaluate(
-            {name: solution.value(name) for name in objective.symbols}
-        ) if exact else -float(  # lint: allow[float-cast] float-LP branch only
-            solution.objective_value  # objective was negated by maximize()
-        )
-        # Exact comparison: Fractions (and mixed Fraction/float) compare
-        # exactly in Python; casting exact gaps through float could rank
-        # two distinct rationals as equal and mis-pick the witness.
-        if best_gap is None or gap > best_gap:
-            best_gap = gap
-            best_witness = witness
-            best_solution = solution
-    if inc is not None:
-        for key, value in inc.stats.items():
-            lp_stats.setdefault(key, value)
+            backend = get_backend(analyzer.config.lp_backend)
+        for witness in witnesses:
+            chi_at_witness = new_templates.at(
+                analyzer.new_system.initial_location
+            ).evaluate_program_vars(witness)
+            phi_at_witness = old_templates.at(
+                analyzer.old_system.initial_location
+            ).evaluate_program_vars(witness)
+            objective = chi_at_witness - phi_at_witness
+            if exact:
+                solution = inc.maximize(objective)
+            else:
+                model.maximize(objective)
+                solution = backend.solve(model)
+            if solution.status is not LPStatus.OPTIMAL:
+                continue
+            if exact:
+                gap = objective.evaluate(
+                    {name: solution.value(name)
+                     for name in objective.symbols}
+                )
+            else:  # maximize() negated the objective
+                gap = -float(solution.objective_value)  # lint: allow[float-cast]
+            # Exact comparison: Fractions (and mixed Fraction/float)
+            # compare exactly in Python; casting exact gaps through float
+            # could rank two distinct rationals as equal and mis-pick the
+            # witness.
+            if best_gap is None or gap > best_gap:
+                best_gap = gap
+                best_witness = witness
+                best_solution = solution
+    lp_stats = dict(inc.stats) if exact else {"solves": len(witnesses)}
+    timings = stopwatch.as_dict()
 
     if best_gap is None:
         return RefutationResult(
@@ -246,6 +207,7 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
             candidate=candidate,
             message="no refutation certificate found (LP infeasible)",
             lp_stats=lp_stats,
+            timings=timings,
         )
 
     refuted = best_gap > candidate
@@ -261,6 +223,7 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
             old_templates, best_solution, POTENTIAL
         ),
         lp_stats=lp_stats,
+        timings=timings,
     )
     if not refuted:
         result.message = (

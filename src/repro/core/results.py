@@ -32,9 +32,6 @@ class DiffCostResult:
     lp_constraints: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     message: str = ""
-    # Populated when AnalysisConfig.check_certificates is on: the
-    # run-based check report (repro.core.checker.CheckReport).
-    check_report: object | None = None
 
     @property
     def is_threshold(self) -> bool:
@@ -83,9 +80,12 @@ class RefutationResult:
     potential_old: PotentialFunction | None = None
     message: str = ""
     #: LP work done across the witness loop (solves, factorizations,
-    #: eta/refactor counters, whether the incremental path ran) — what
-    #: the perf harness compares between incremental and cold runs.
+    #: eta/refactor counters) — what the perf harness compares against
+    #: its per-witness cold reference.
     lp_stats: dict = field(default_factory=dict)
+    #: Seconds per stage: ``invariants``, ``constraints``, ``encoding``
+    #: and ``lp`` (the witness loop), as for threshold synthesis.
+    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def is_refuted(self) -> bool:

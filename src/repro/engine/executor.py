@@ -226,7 +226,6 @@ class ParallelExecutor:
 
     def __init__(self, jobs: int = 1, timeout: float | None = None,
                  cache: ResultCache | None = None,
-                 mp_context: str | None = None,
                  max_retries: int = 2,
                  hang_timeout: float | None = None,
                  quarantine_after: int = 3):
@@ -245,11 +244,6 @@ class ParallelExecutor:
         #: many consecutive crashes.
         self.hang_timeout = hang_timeout
         self.quarantine_after = quarantine_after
-        #: Multiprocessing start method for pool workers (``None`` =
-        #: platform default).  Workers scrub inherited descriptors on
-        #: startup either way; the knob exists for host applications
-        #: where forking a threaded process is itself unsafe.
-        self.mp_context = mp_context
         self.stats = ExecutorStats()
         self._pool: WorkerPool | None = None
         #: How many worker pools this executor ever built — one for a
@@ -272,8 +266,7 @@ class ParallelExecutor:
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None or self._pool.closed:
             self._pool = WorkerPool(
-                self.jobs, context=self.mp_context,
-                hang_timeout=self.hang_timeout,
+                self.jobs, hang_timeout=self.hang_timeout,
                 quarantine_after=self.quarantine_after,
             )
             self.pools_created += 1

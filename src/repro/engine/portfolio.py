@@ -58,7 +58,7 @@ def ladder_configs(base: AnalysisConfig | None = None,
                    ladder: tuple[tuple[int, int, str], ...] = DEFAULT_LADDER,
                    ) -> list[AnalysisConfig]:
     """Instantiate the ladder, inheriting every non-raced knob of
-    ``base`` (invariant tuning, certificate checking, ...)."""
+    ``base`` (the invariant tuning)."""
     base = base or AnalysisConfig()
     return [
         replace(base, degree=degree, max_products=max_products,

@@ -261,8 +261,8 @@ class WorkerPool:
     is fine for the executor's single-threaded event loops.
     """
 
-    def __init__(self, size: int, context: str | None = None,
-                 heartbeat: float = 1.0, hang_timeout: float | None = None,
+    def __init__(self, size: int, heartbeat: float = 1.0,
+                 hang_timeout: float | None = None,
                  quarantine_after: int = 3):
         if size < 1:
             raise AnalysisError("worker pool size must be at least 1")
@@ -285,7 +285,7 @@ class WorkerPool:
         #: slot (capacity floor 1) — a poisoned machine degrades to a
         #: smaller pool instead of a crash loop.
         self.quarantine_after = quarantine_after
-        self._context = multiprocessing.get_context(context)
+        self._context = multiprocessing.get_context()
         self._workers: list[_Worker] = []
         self._idle: list[_Worker] = []
         self._queue: list[tuple[tuple, int, Task]] = []

@@ -99,9 +99,7 @@ class Contracts:
 #:   reports, cache entries and content-addressed keys; volatile stats
 #:   paths (timers, cache hit counters) deliberately stay unregistered.
 #: - ``repro/serve/*`` runs only in the parent/server process and is
-#:   not worker-reachable; ``repro/lp/backend.py`` keeps its lazily
-#:   populated backend registry (per-process, deterministic content),
-#:   approved below.
+#:   not worker-reachable.
 DEFAULT_CONTRACTS = Contracts(
     exact_modules=(
         "repro/lp/basis.py",
@@ -168,10 +166,6 @@ DEFAULT_CONTRACTS = Contracts(
         ("repro/cli.py", "_sigterm_as_interrupt"),
     ),
     approved_global_writers=(
-        # The LP backend registry: populated lazily per process before
-        # any answer-producing work, deterministic content.
-        ("repro/lp/backend.py", "register_backend"),
-        ("repro/lp/backend.py", "_ensure_builtins"),
         # The result cache's registry of live handles: its fork hooks
         # close every SQLite connection before a fork, so no child
         # inherits one.

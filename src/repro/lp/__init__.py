@@ -2,7 +2,7 @@
 
 The synthesis algorithm reduces to a single LP instance (paper Step 4).
 This package provides a solver-independent :class:`LPModel` plus a
-registry of interchangeable backends:
+fixed table of interchangeable backends:
 
 - :class:`ScipyBackend` (``scipy``) — floating-point,
   ``scipy.optimize.linprog`` with the HiGHS method (the stand-in for
@@ -12,12 +12,7 @@ registry of interchangeable backends:
   priced once per phase and kept across pivots by pivot-row updates);
 - :class:`WarmStartExactBackend` (``exact-warm``) — HiGHS warm start
   whose candidate basis is refactorized and certified — or repaired —
-  in exact arithmetic;
-- :class:`DenseSimplexBackend` (``exact-dense``) — the seed's dense
-  tableau simplex, kept as perf baseline and cross-check oracle.
-
-``ExactSimplexBackend`` remains as an alias of the backend registered
-under the name ``"exact"``.
+  in exact arithmetic.
 
 scipy (with numpy) is a required dependency: it is both the default
 backend and the nominator of every ``exact-warm`` basis.  All sparse
@@ -34,7 +29,6 @@ threshold-refutation loop and the diffcost threshold search.
 from repro.lp.model import Constraint, LPModel, Objective
 from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.scipy_backend import ScipyBackend
-from repro.lp.simplex import DenseSimplexBackend
 from repro.lp.basis import BasisFactorization
 from repro.lp.revised import RevisedSimplexBackend
 from repro.lp.dual import IncrementalLP, exact_dual_feasible, run_dual_simplex
@@ -46,11 +40,7 @@ from repro.lp.backend import (
     available_backends,
     backend_is_exact,
     get_backend,
-    register_backend,
 )
-
-#: Backwards-compatible alias: the backend named ``"exact"``.
-ExactSimplexBackend = RevisedSimplexBackend
 
 __all__ = [
     "Constraint",
@@ -63,8 +53,6 @@ __all__ = [
     "ScipyBackend",
     "RevisedSimplexBackend",
     "WarmStartExactBackend",
-    "DenseSimplexBackend",
-    "ExactSimplexBackend",
     "BasisFactorization",
     "IncrementalLP",
     "run_dual_simplex",
@@ -74,5 +62,4 @@ __all__ = [
     "available_backends",
     "backend_is_exact",
     "get_backend",
-    "register_backend",
 ]

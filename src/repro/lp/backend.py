@@ -1,20 +1,19 @@
-"""Backend protocol, registry and solver revision for LP solvers.
+"""Backend protocol, backend table and solver revision for LP solvers.
 
-Backends register as named factories, so new solvers (portfolio rungs,
-experimental pricing rules) plug in without touching consumers:
+The product ships a fixed set of backends:
 
 - ``scipy`` — floating point, ``scipy.optimize.linprog`` (HiGHS);
 - ``exact`` — sparse revised simplex over rationals;
-- ``exact-warm`` — HiGHS warm start with exact rational certification;
-- ``exact-dense`` — the seed's dense tableau simplex (perf baseline and
-  cross-check oracle).
+- ``exact-warm`` — HiGHS warm start with exact rational certification.
 
-Each factory imports its implementation module when first called.
+:func:`get_backend` imports a backend's implementation module when the
+backend is first instantiated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+import importlib
+from typing import Protocol
 
 from repro.errors import LPError
 from repro.lp.model import LPModel
@@ -40,70 +39,32 @@ class LPBackend(Protocol):
         ...
 
 
-_REGISTRY: dict[str, Callable[[], LPBackend]] = {}
-_EXACT: set[str] = set()
-
-
-def register_backend(name: str, factory: Callable[[], LPBackend], *,
-                     exact: bool = False) -> None:
-    """Register ``factory`` under ``name`` (re-registering overwrites).
-
-    ``exact`` marks backends whose reported values are ``Fraction``
-    (consumers use :func:`backend_is_exact` to decide whether results
-    need rationalization).
-    """
-    _REGISTRY[name] = factory
-    if exact:
-        _EXACT.add(name)
-    else:
-        _EXACT.discard(name)
-
-
-def _ensure_builtins() -> None:
-    if _REGISTRY:
-        return
-
-    def scipy_factory() -> LPBackend:
-        from repro.lp.scipy_backend import ScipyBackend
-        return ScipyBackend()
-
-    def exact_factory() -> LPBackend:
-        from repro.lp.revised import RevisedSimplexBackend
-        return RevisedSimplexBackend()
-
-    def warm_factory() -> LPBackend:
-        from repro.lp.certify import WarmStartExactBackend
-        return WarmStartExactBackend()
-
-    def dense_factory() -> LPBackend:
-        from repro.lp.simplex import DenseSimplexBackend
-        return DenseSimplexBackend()
-
-    register_backend("scipy", scipy_factory)
-    register_backend("exact", exact_factory, exact=True)
-    register_backend("exact-warm", warm_factory, exact=True)
-    register_backend("exact-dense", dense_factory, exact=True)
+#: name -> (implementation module, class, reports exact ``Fraction``s).
+_BACKENDS: dict[str, tuple[str, str, bool]] = {
+    "scipy": ("repro.lp.scipy_backend", "ScipyBackend", False),
+    "exact": ("repro.lp.revised", "RevisedSimplexBackend", True),
+    "exact-warm": ("repro.lp.certify", "WarmStartExactBackend", True),
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    _ensure_builtins()
-    return tuple(_REGISTRY)
+    """Backend names, in table order."""
+    return tuple(_BACKENDS)
 
 
 def backend_is_exact(name: str) -> bool:
     """True iff backend ``name`` reports exact ``Fraction`` values."""
-    _ensure_builtins()
-    return name in _EXACT
+    entry = _BACKENDS.get(name)
+    return entry is not None and entry[2]
 
 
 def get_backend(name: str) -> LPBackend:
-    """Instantiate a backend by registered name."""
-    _ensure_builtins()
-    factory = _REGISTRY.get(name)
-    if factory is None:
+    """Instantiate a backend by name."""
+    entry = _BACKENDS.get(name)
+    if entry is None:
         raise LPError(
             f"unknown LP backend {name!r}; available: "
-            f"{sorted(_REGISTRY)}"
+            f"{sorted(_BACKENDS)}"
         )
-    return factory()
+    module, cls, _exact = entry
+    return getattr(importlib.import_module(module), cls)()

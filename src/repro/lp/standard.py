@@ -85,14 +85,6 @@ class SparseStandardForm:
                 self.cols[col][row] = coeff
         return row
 
-    def dense_rows(self) -> list[list[Fraction]]:
-        """Materialize dense rows (input of the dense tableau backend)."""
-        rows = [[_ZERO] * self.num_cols for _ in range(self.num_rows)]
-        for j, col in enumerate(self.cols):
-            for i, coeff in col.items():
-                rows[i][j] = coeff
-        return rows
-
 
 def validate_bounds(model: LPModel) -> None:
     """Reject empty variable bounds (``upper < lower``) up front.

@@ -1,13 +1,12 @@
-"""The dense two-phase tableau simplex (backend ``exact-dense``).
+"""The dense two-phase tableau simplex: the test suite's LP oracle.
 
-This is the seed's original exact solver, kept as the perf baseline and
-as an independent cross-check of the sparse revised simplex
-(:mod:`repro.lp.revised`): classical primal simplex on a dense
-``Fraction`` tableau with Bland's rule.  It is slow — every pivot sweeps
-the whole ``m x n`` tableau — but exact and algorithmically boring,
-which makes it a good oracle.  Standard-form conversion is shared with
-the sparse solvers (:mod:`repro.lp.standard`), so the quadratic
-per-column row padding of the seed builder is gone even here.
+Classical primal simplex on a dense ``Fraction`` tableau with Bland's
+rule.  It is slow — every pivot sweeps the whole ``m x n`` tableau —
+but exact and algorithmically boring, and it shares nothing with the
+product's sparse revised simplex (:mod:`repro.lp.revised`) except the
+standard-form conversion (:mod:`repro.lp.standard`).  That makes it an
+independent oracle for every agreement test.  Tests import it as a
+plain module (``from dense_simplex import DenseSimplexBackend``).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from repro.errors import LPError
 from repro.lp.model import LPModel
 from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.standard import (
+    SparseStandardForm,
     model_objective_value,
     recover_values,
     standardize,
@@ -25,6 +25,15 @@ from repro.lp.standard import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def dense_rows(form: SparseStandardForm) -> list[list[Fraction]]:
+    """Materialize the standard form's sparse columns as dense rows."""
+    rows = [[_ZERO] * form.num_cols for _ in range(form.num_rows)]
+    for j, col in enumerate(form.cols):
+        for i, coeff in col.items():
+            rows[i][j] = coeff
+    return rows
 
 
 class _Tableau:
@@ -144,7 +153,7 @@ class DenseSimplexBackend:
                               objective_value=model_objective_value(
                                   model, values))
 
-        tableau = _Tableau(form.dense_rows(), form.rhs)
+        tableau = _Tableau(dense_rows(form), form.rhs)
         counters = {"pivots": 0}
 
         # Phase 1: artificial basis.

@@ -625,6 +625,8 @@ class TestCoordinatorServer:
                     ({"directory": "d", "shards": 0}, "shards"),
                     ({"directory": "d", "portfolio": True}, "portfolio"),
                     ({"directory": "d", "config": {"typo": 1}}, "typo"),
+                    ({"directory": "d", "config": {"degree": "3"}},
+                     "degree"),
                 ):
                     status, _head, body = await http_json(
                         server.port, "POST", "/batch", payload)

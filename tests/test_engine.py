@@ -54,7 +54,7 @@ class TestJobModel:
         assert (
             make_job().key
             != make_job(config=AnalysisConfig(degree=1, max_products=1,
-                                              check_samples=7)).key
+                                              widening_delay=4)).key
         )
 
     def test_key_changes_with_sources_and_kind(self):
@@ -79,6 +79,18 @@ class TestJobModel:
         assert result.threshold == 10.0
         assert result.analysis is not None
         assert result.analysis.is_threshold
+
+    def test_refute_job_reports_stage_timings(self):
+        job = make_job(kind="refute", candidate=5.0,
+                       config=AnalysisConfig(degree=1, max_products=1,
+                                             lp_backend="exact-warm"))
+        result = ParallelExecutor(jobs=1).run([job])[0]
+        assert result.status == "ok"
+        assert result.outcome == "refuted"
+        # The refute stages share the diff stages' names.
+        assert set(result.timings) == {"invariants", "constraints",
+                                       "encoding", "lp"}
+        assert all(seconds >= 0 for seconds in result.timings.values())
 
 
 class TestResultCache:

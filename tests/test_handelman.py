@@ -16,7 +16,7 @@ from repro.handelman import (
     generate_products,
 )
 from repro.handelman.encode import EncodingStats
-from repro.lp import ExactSimplexBackend, LPModel, LPStatus, ScipyBackend
+from repro.lp import LPModel, LPStatus, RevisedSimplexBackend, ScipyBackend
 from repro.poly.linexpr import AffineExpr
 from repro.poly.monomial import monomials_up_to_degree
 from repro.poly.polynomial import Polynomial
@@ -57,7 +57,7 @@ def solve_implication(premise, consequent_poly, max_factors=2,
     )
     model = LPModel()
     encode_implication(constraint, model, FreshNameGenerator(), max_factors)
-    solution = (backend or ExactSimplexBackend()).solve(model)
+    solution = (backend or RevisedSimplexBackend()).solve(model)
     return solution
 
 
@@ -94,7 +94,7 @@ class TestEncodingSoundAndComplete:
         )
         model = LPModel()
         encode_affine_implication(constraint, model, FreshNameGenerator())
-        assert ExactSimplexBackend().solve(model).status is LPStatus.OPTIMAL
+        assert RevisedSimplexBackend().solve(model).status is LPStatus.OPTIMAL
 
     def test_symbolic_threshold_minimization(self):
         # min t s.t. 1 <= x <= 100 => t - x >= 0 gives t = 100.
@@ -109,7 +109,7 @@ class TestEncodingSoundAndComplete:
         from repro.poly.linexpr import AffineExpr
 
         model.minimize(AffineExpr.variable("t"))
-        solution = ExactSimplexBackend().solve(model)
+        solution = RevisedSimplexBackend().solve(model)
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values["t"] == Fraction(100)
 
@@ -126,7 +126,7 @@ class TestEncodingSoundAndComplete:
         from repro.poly.linexpr import AffineExpr
 
         model.minimize(AffineExpr.variable("t"))
-        solution = ExactSimplexBackend().solve(model)
+        solution = RevisedSimplexBackend().solve(model)
         assert solution.values["t"] == Fraction(100)
 
 

@@ -1,18 +1,21 @@
-"""Incremental-vs-cold equivalence for the refutation loop and the
+"""The refutation loop against its per-witness cold reference, and the
 threshold search (the ``IncrementalLP`` consumers).
 
-The incremental path must be a pure performance change: bit-identical
+The one-encoding loop must be a pure performance change: bit-identical
 ``Fraction`` gaps, the same best witness, valid certificates — with
-measurably fewer exact factorizations, asserted through the solver
-stats that ``BENCH_lp.json`` tracks.
+measurably fewer exact factorizations than
+:func:`repro.bench.perf.refute_per_witness` (one cold solve per
+witness), asserted through the solver stats that ``BENCH_lp.json``
+tracks.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import repro.core.refutation as refutation
 from repro import AnalysisConfig, load_program
+from repro.bench.perf import refute_per_witness
 from repro.bench.suite import SUITE, load_pair
 from repro.core import DiffCostAnalyzer, analyze_diffcost, refute_threshold
 from repro.core.refutation import default_witnesses
@@ -35,12 +38,8 @@ class TestIncrementalRefutationEquivalence:
     @pytest.fixture(scope="class")
     def both_runs(self, dis2_pair, dis2_config):
         old, new = dis2_pair
-        incremental = refute_threshold(
-            old, new, 0, replace(dis2_config, lp_incremental=True)
-        )
-        cold = refute_threshold(
-            old, new, 0, replace(dis2_config, lp_incremental=False)
-        )
+        incremental = refute_threshold(old, new, 0, dis2_config)
+        cold = refute_per_witness(old, new, 0, dis2_config)
         return incremental, cold
 
     def test_gap_and_witness_bit_identical(self, both_runs):
@@ -64,30 +63,39 @@ class TestIncrementalRefutationEquivalence:
     def test_incremental_does_fewer_factorizations(self, both_runs):
         incremental, cold = both_runs
         stats_inc, stats_cold = incremental.lp_stats, cold.lp_stats
-        assert stats_inc["incremental"] is True
-        assert stats_cold["incremental"] is False
         assert stats_inc["solves"] == stats_cold["solves"] >= 3
-        # One cold start, every further witness a basis re-solve.
+        # The reference solves every witness cold ...
+        assert stats_cold["cold_solves"] == stats_cold["solves"]
+        # ... the loop once, every further witness a basis re-solve.
         assert stats_inc["cold_solves"] == 1
         assert stats_inc["resolves"] == stats_inc["solves"] - 1
         # The headline: the eta-file re-solves amortize the exact
-        # factorizations the cold loop pays per witness.
+        # factorizations the cold reference pays per witness.
         assert 3 * stats_inc["factorizations"] <= stats_cold["factorizations"]
 
-    def test_scipy_backend_shares_the_single_encoding(self, dis2_pair):
+    def test_scipy_backend_shares_the_single_encoding(self, dis2_pair,
+                                                      monkeypatch):
         # The one-encode loop is backend-independent: float backends
         # share the encoding too (cold solves, swapped objectives) and
-        # must keep producing the same refutations as before.
+        # must keep producing the same refutations as the reference.
         old, new = dis2_pair
+        encoded = []
+        original = refutation.encode_implication
+
+        def counting(constraint, *args):
+            encoded.append(constraint)
+            return original(constraint, *args)
+
+        monkeypatch.setattr(refutation, "encode_implication", counting)
         result = refute_threshold(
             old, new, 0, AnalysisConfig(lp_backend="scipy")
         )
         assert result.is_refuted
-        assert result.lp_stats["incremental"] is True
         assert result.lp_stats["solves"] >= 3
-        cold = refute_threshold(
-            old, new, 0,
-            AnalysisConfig(lp_backend="scipy", lp_incremental=False),
+        # Each implication is encoded once, not once per witness.
+        assert encoded and len(encoded) == len(set(map(id, encoded)))
+        cold = refute_per_witness(
+            old, new, 0, AnalysisConfig(lp_backend="scipy"),
         )
         assert cold.is_refuted
         assert cold.witness_input == result.witness_input
@@ -106,7 +114,7 @@ class TestRefutationWorkGuard:
             old, new, Fraction(pair.tight) - 1, pair.config("exact-warm")
         )
         stats = result.lp_stats
-        assert stats["incremental"] is True
+        assert stats["cold_solves"] == 1
         assert result.guaranteed_difference == 10000
         assert stats["pivots"] <= 50
         assert stats["factorizations"] <= 5

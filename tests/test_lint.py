@@ -359,8 +359,7 @@ def _small_lp() -> LPModel:
 class TestSanitizedSolves:
     """End-to-end: the LP layer under ``REPRO_SANITIZE=1``."""
 
-    @pytest.mark.parametrize("backend", ["exact", "exact-warm",
-                                         "exact-dense"])
+    @pytest.mark.parametrize("backend", ["exact", "exact-warm"])
     def test_exact_backends_solve_clean(self, sanitized, backend):
         solution = get_backend(backend).solve(_small_lp())
         assert solution.value("x") == Fraction(0)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LPError
+from dense_simplex import DenseSimplexBackend, dense_rows
+from repro.config import AnalysisConfig
+from repro.errors import AnalysisError, LPError
 from repro.lp import (
-    DenseSimplexBackend,
-    ExactSimplexBackend,
     LPModel,
     LPStatus,
     RevisedSimplexBackend,
@@ -102,7 +102,7 @@ class TestStandardForm:
         model.add_inequality(4 - X - Y)
         model.add_equality(X - Y)
         form = standardize(model)
-        rows = form.dense_rows()
+        rows = dense_rows(form)
         for j, col in enumerate(form.cols):
             for i, coeff in col.items():
                 assert rows[i][j] == coeff
@@ -188,9 +188,6 @@ class TestBackendsAgree:
             assert solution.status is LPStatus.OPTIMAL
             assert solution.objective_value is None
 
-    def test_legacy_alias_is_the_exact_backend(self):
-        assert ExactSimplexBackend is RevisedSimplexBackend
-
 
 class TestEmptyBounds:
     """The seed only rejected ``upper < lower`` in the lower-bounded
@@ -226,11 +223,14 @@ class TestEmptyBounds:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert set(names) >= {"scipy", "exact", "exact-warm", "exact-dense"}
+        # The product's backend table is fixed: the dense tableau
+        # simplex lives on only as the tests' oracle.
+        assert available_backends() == ("scipy", "exact", "exact-warm")
+        with pytest.raises(AnalysisError, match="exact-dense"):
+            AnalysisConfig(lp_backend="exact-dense")
 
     def test_get_backend_names_match(self):
-        for name in ("scipy", "exact", "exact-warm", "exact-dense"):
+        for name in available_backends():
             assert get_backend(name).name == name
 
     def test_unknown_backend_rejected(self):
@@ -240,7 +240,7 @@ class TestRegistry:
     def test_exactness_classification(self):
         assert backend_is_exact("exact")
         assert backend_is_exact("exact-warm")
-        assert backend_is_exact("exact-dense")
+        assert not backend_is_exact("exact-dense")
         assert not backend_is_exact("scipy")
         assert not backend_is_exact("never-registered")
 

@@ -1,7 +1,7 @@
 """Cross-backend LP agreement and revised-simplex regression tests.
 
-The exact backends (``exact``, ``exact-warm``, ``exact-dense``) must be
-interchangeable oracles: same status on every instance and bit-identical
+The exact backends (``exact``, ``exact-warm``) and the dense tableau
+oracle (``tests/dense_simplex.py``) must be interchangeable: same status on every instance and bit-identical
 ``Fraction`` optima whenever one exists.  The float backend must agree
 on status and approximate the exact optimum.  Degenerate and cycling
 instances exercise the Dantzig→Bland anti-cycling fallback.
@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from dense_simplex import DenseSimplexBackend
 import repro.lp.certify as certify
 from repro.lp import (
-    DenseSimplexBackend,
     IncrementalLP,
     LPModel,
     LPStatus,

@@ -335,7 +335,6 @@ class TestRefutationLoops:
         runs = run_both(monkeypatch, lambda: _refutation(name))
         assert_same_runs(runs)
         stats = runs[0][0][-1]
-        assert stats["incremental"] is True
         assert stats["cold_solves"] == 1
         assert stats["resolves"] == stats["solves"] - 1 >= 3
 

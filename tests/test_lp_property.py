@@ -4,8 +4,8 @@ A seeded random-LP generator (bounded *rational* coefficients, every
 bound kind including degenerate fixed variables, duplicated constraints
 and empty bounds) drives two differential properties:
 
-- the exact backends (``exact``, ``exact-warm``, ``exact-dense``) are
-  interchangeable: identical statuses on every instance, bit-identical
+- the exact backends (``exact``, ``exact-warm``) and the dense
+  tableau oracle (``tests/dense_simplex.py``) are interchangeable: identical statuses on every instance, bit-identical
   ``Fraction`` optima, exactly-feasible reported points, and the same
   structured rejection of empty bounds;
 - :class:`~repro.lp.dual.IncrementalLP` is invisible: a chain of
@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import pytest
 
+from dense_simplex import DenseSimplexBackend
 from repro.errors import LPError
 from repro.lp import (
-    DenseSimplexBackend,
     IncrementalLP,
     LPModel,
     LPStatus,

@@ -414,9 +414,9 @@ class TestFirstModeDeterminism:
         built = []
         original_init = WorkerPool.__init__
 
-        def counting_init(pool, size, context=None, **kwargs):
+        def counting_init(pool, size, **kwargs):
             built.append(pool)
-            original_init(pool, size, context, **kwargs)
+            original_init(pool, size, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "__init__", counting_init)
         report = run_batch(

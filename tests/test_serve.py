@@ -230,6 +230,21 @@ class TestRoundTrip:
                         server.port, "POST", "/analyze", payload)
                     assert status == 400, payload
                     assert "error" in body
+                # Mistyped or retired config overrides are rejected at
+                # the door with an error naming the field, before any
+                # job is keyed or dispatched.
+                for field, value in (("degree", "3"), ("degree", 2.5),
+                                     ("degree", True),
+                                     ("max_products", 1.5),
+                                     ("widening_delay", "x"),
+                                     ("lp_incremental", False)):
+                    payload = {"kind": "diff", "old_source": QUICK_OLD,
+                               "new_source": QUICK_NEW,
+                               "config": {field: value}}
+                    status, body = await http_json(
+                        server.port, "POST", "/analyze", payload)
+                    assert status == 400, payload
+                    assert field in body["error"], body
                 status, body = await http_json(server.port, "GET", "/nope")
                 assert status == 404
                 # The server survives all of it.

@@ -100,6 +100,14 @@ class TestAnalysisConfig:
             AnalysisConfig(max_products=0)
         with pytest.raises(AnalysisError):
             AnalysisConfig(lp_backend="gurobi")
+        # Mistyped values (as JSON overrides deliver them) are rejected
+        # up front, naming the field — bools too, though bool is an int.
+        for field, value in (("degree", "3"), ("degree", 2.5),
+                             ("degree", True), ("max_products", 1.5),
+                             ("widening_delay", "x"),
+                             ("narrowing_passes", None)):
+            with pytest.raises(AnalysisError, match=field):
+                AnalysisConfig(**{field: value})
 
 
 class TestReporting:
