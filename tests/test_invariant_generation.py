@@ -187,10 +187,12 @@ class TestHints:
         )
 
 
-# str(InvariantMap) of both versions of four Table 1 pairs, recorded
-# while a float LP (HiGHS) still decided most invariant queries.
-# simple_multiple_dep is the pair whose non-affine update reaches
-# Polyhedron.minimize.
+# str(InvariantMap) of both versions of every Table 1 pair: 40 maps,
+# recorded while Fourier-Motzkin still combined constraints in Fraction
+# arithmetic. ddec, join, nested and simple_multiple_dep match maps
+# recorded earlier still, while a float LP (HiGHS) decided most
+# invariant queries. simple_multiple_dep is the pair whose non-affine
+# update reaches Polyhedron.minimize.
 PINNED_MAPS = json.loads(
     (Path(__file__).parent / "pinned_invariant_maps.json").read_text())
 
