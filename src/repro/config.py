@@ -59,6 +59,12 @@ class AnalysisConfig:
             raise AnalysisError("degree must be nonnegative")
         if self.max_products < 1:
             raise AnalysisError("max_products (K) must be at least 1")
+        # The engine compares visits > widening_delay and runs
+        # range(narrowing_passes): a negative value runs like 0 but
+        # would be keyed as a config of its own.
+        for name in ("widening_delay", "narrowing_passes"):
+            if getattr(self, name) < 0:
+                raise AnalysisError(f"{name} must be nonnegative")
         # Local import: repro.lp pulls in the polynomial layer, which
         # must not become an import-time dependency of plain configs.
         from repro.lp.backend import available_backends

@@ -9,30 +9,26 @@ passes to recover precision lost to widening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.invariants.polyhedron import Polyhedron
 from repro.ts.system import Location, TransitionSystem
 
-
-@dataclass
-class EngineConfig:
-    """Tuning knobs of the fixpoint engine."""
-
-    widening_delay: int = 3
-    narrowing_passes: int = 2
-    max_iterations: int = 10_000
+#: A safety bound on the ascending iteration's worklist steps.
+MAX_ITERATIONS = 10_000
 
 
 class FixpointEngine:
     """Computes one polyhedron per location over-approximating
-    reachability."""
+    reachability, widening at a back-edge target after
+    ``widening_delay`` visits and then running ``narrowing_passes``
+    descending passes."""
 
     def __init__(self, system: TransitionSystem,
-                 config: EngineConfig | None = None,
+                 widening_delay: int = 3,
+                 narrowing_passes: int = 2,
                  hints: dict[str, tuple] | None = None):
         self.system = system
-        self.config = config or EngineConfig()
+        self.widening_delay = widening_delay
+        self.narrowing_passes = narrowing_passes
         # Hints (trusted annotations) are conjoined at their location on
         # every propagation, mirroring the paper's manual strengthening.
         self.hints = {
@@ -86,7 +82,7 @@ class FixpointEngine:
         worklist: list[Location] = [self.system.initial_location]
         iterations = 0
 
-        while worklist and iterations < self.config.max_iterations:
+        while worklist and iterations < MAX_ITERATIONS:
             iterations += 1
             location = worklist.pop(0)
             current = values[location]
@@ -104,7 +100,7 @@ class FixpointEngine:
                 joined = old.join(post)
                 visits[target] = visits.get(target, 0) + 1
                 if (target in widening_points
-                        and visits[target] > self.config.widening_delay):
+                        and visits[target] > self.widening_delay):
                     joined = old.widen(joined)
                 # No reduce() here: redundant-but-stable constraints
                 # (e.g. i <= n+1 alongside a transient i <= 1) must stay
@@ -114,9 +110,9 @@ class FixpointEngine:
                 if target not in worklist:
                     worklist.append(target)
 
-        # Narrowing: re-propagate without widening; interseect with the
+        # Narrowing: re-propagate without widening; intersect with the
         # computed post to claw back precision (finitely many passes).
-        for _ in range(self.config.narrowing_passes):
+        for _ in range(self.narrowing_passes):
             changed = False
             for location in self.system.locations:
                 if location == self.system.initial_location:

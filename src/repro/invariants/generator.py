@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.invariants.engine import EngineConfig, FixpointEngine
+from repro.invariants.engine import FixpointEngine
 from repro.invariants.polyhedron import Polyhedron
 from repro.ts.guards import LinIneq
 from repro.ts.system import Location, TransitionSystem
@@ -53,10 +53,5 @@ def generate_invariants(system: TransitionSystem,
     conjoined during propagation, exactly like the paper's manual
     strengthening of Aspic/Sting output (the ``*`` rows of Table 1).
     """
-    config = EngineConfig(
-        widening_delay=widening_delay,
-        narrowing_passes=narrowing_passes,
-    )
-    engine = FixpointEngine(system, config, hints)
-    values = engine.run()
-    return InvariantMap(system, values)
+    engine = FixpointEngine(system, widening_delay, narrowing_passes, hints)
+    return InvariantMap(system, engine.run())

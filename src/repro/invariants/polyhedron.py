@@ -7,7 +7,10 @@ program variable; no floating-point solver or tolerance enters
 invariant generation.  The join is the *weak join* (mutual entailment
 filter), which over-approximates the convex hull; widening is the
 standard constraint-dropping widening.  Existential projection uses
-Fourier-Motzkin elimination with eager redundancy pruning.
+Fourier-Motzkin elimination with eager redundancy pruning, on integer
+rows: a normal form's coefficients are coprime integers, so each
+combination is an integer multiply-add divided by the gcd of its
+entries, and becomes a :class:`LinIneq` once, already in normal form.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ from repro.invariants.farkas import (
 )
 from repro.invariants.intervals import Interval, polynomial_range
 from repro.poly.polynomial import Polynomial
-from repro.ts.guards import LinIneq
+from repro.ts.guards import LinIneq, coprime_row, normal_row
 from repro.ts.system import COST_VAR, NondetUpdate, Transition
 
 _POST_SUFFIX = "!post"
+
+#: Past this many constraints after an elimination, projection prunes
+#: redundant ones and then keeps the first this many.
+_MAX_CONSTRAINTS = 64
 
 # Memo tables (polyhedra are immutable value objects, so results are
 # shared freely across instances with equal constraint sets).
@@ -39,7 +46,7 @@ _CACHE_LIMIT = 200_000
 class Polyhedron:
     """An immutable conjunction of :class:`LinIneq` (or bottom)."""
 
-    __slots__ = ("_ineqs", "_bottom", "_rows")
+    __slots__ = ("_ineqs", "_bottom", "_rows", "_key")
 
     def __init__(self, ineqs: Iterable[LinIneq] = (), bottom: bool = False):
         normalized: list[LinIneq] = []
@@ -56,6 +63,7 @@ class Polyhedron:
         self._bottom = bottom
         self._ineqs: tuple[LinIneq, ...] = () if bottom else tuple(normalized)
         self._rows: tuple | None = None
+        self._key: frozenset[LinIneq] | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -84,6 +92,12 @@ class Polyhedron:
         """
         return self._bottom
 
+    def _constraint_set(self) -> frozenset[LinIneq]:
+        """The constraints as a set, built once: the memo tables' key."""
+        if self._key is None:
+            self._key = frozenset(self._ineqs)
+        return self._key
+
     @property
     def variables(self) -> frozenset[str]:
         """Variables mentioned by any constraint."""
@@ -100,22 +114,17 @@ class Polyhedron:
 
     # -- exact queries (through the Farkas dual) -----------------------------
 
-    def _matrix(self) -> tuple[dict[str, int], list[list[int]], list[int]]:
+    def _matrix(self) -> tuple[dict[str, int], list[tuple[int, ...]],
+                               list[int]]:
         """``(variable positions, rows a_i, constants b_i)`` with
         ``a_i·x + b_i >= 0`` for each constraint, built once.
         Normalized constraints have coprime integer coefficients."""
         if self._rows is None:
             position = {name: k
                         for k, name in enumerate(sorted(self.variables))}
-            rows: list[list[int]] = []
-            for ineq in self._ineqs:
-                row = [0] * len(position)
-                for name, coeff in ineq.expr.coefficients():
-                    row[position[name]] = coeff.numerator
-                rows.append(row)
-            constants = [ineq.expr.constant_term.numerator
-                         for ineq in self._ineqs]
-            self._rows = (position, rows, constants)
+            rows = _rows(self._ineqs, position)
+            self._rows = (position, [row[:-1] for row in rows],
+                          [row[-1] for row in rows])
         return self._rows
 
     def _dual_minimum(self, expr) -> tuple[str, Fraction | None]:
@@ -139,7 +148,7 @@ class Polyhedron:
         (Bottom carries no constraints, so this is False for it.)"""
         if not self._ineqs:
             return False
-        key = frozenset(self._ineqs)
+        key = self._constraint_set()
         cached = _EMPTY_CACHE.get(key)
         if cached is not None:
             return cached
@@ -187,9 +196,9 @@ class Polyhedron:
             return True
         if not self._ineqs:
             return False
-        if canonical in self._ineqs:
+        if canonical in self._constraint_set():
             return True
-        key = (frozenset(self._ineqs), canonical)
+        key = (self._constraint_set(), canonical)
         cached = _ENTAILS_CACHE.get(key)
         if cached is not None:
             return cached
@@ -305,7 +314,7 @@ class Polyhedron:
     # -- projection -------------------------------------------------------------
 
     def project_out(self, variables: Sequence[str],
-                    max_constraints: int = 64) -> "Polyhedron":
+                    max_constraints: int = _MAX_CONSTRAINTS) -> "Polyhedron":
         """Existentially quantify ``variables`` via Fourier-Motzkin.
 
         After each elimination the constraint set is pruned; if it still
@@ -314,24 +323,10 @@ class Polyhedron:
         """
         if self._bottom:
             return self
-        current = list(self._ineqs)
-        remaining = list(variables)
-        while remaining:
-            # Pick the variable with the fewest pairings to limit growth.
-            def elimination_size(var: str) -> int:
-                pos = sum(1 for i in current if i.expr.coefficient(var) > 0)
-                neg = sum(1 for i in current if i.expr.coefficient(var) < 0)
-                return pos * neg
-
-            remaining.sort(key=elimination_size)
-            var = remaining.pop(0)
-            current = _eliminate(current, var)
-            if len(current) > max_constraints:
-                reduced = Polyhedron(current).reduce()
-                current = list(reduced.ineqs)
-                if len(current) > max_constraints:
-                    current = current[:max_constraints]
-        return Polyhedron(current)
+        names = sorted(self.variables)
+        rows = _rows(self._ineqs, {name: k for k, name in enumerate(names)})
+        rows = _fourier_motzkin(rows, names, variables, max_constraints)
+        return Polyhedron(LinIneq.from_row(names, row) for row in rows)
 
     # -- transfer function ---------------------------------------------------------
 
@@ -343,53 +338,65 @@ class Polyhedron:
         are introduced as primed copies related to the pre-state by the
         updates (equalities for affine updates, interval bounds for
         non-affine ones, bound inequalities for nondet); pre-state
-        variables are then projected out.  The ``cost`` variable is not
-        tracked (potentials never mention it).
+        variables are then projected out and the primed copies renamed
+        back.  The ``cost`` variable is not tracked (potentials never
+        mention it).
         """
         guarded = self.meet(transition.guard)
         if guarded.is_empty():
             return Polyhedron.bottom()
 
-        constraints: list[LinIneq] = list(guarded.ineqs)
-        primed: list[str] = []
+        # (post variable, sign, affine bound): sign*(post - bound) >= 0.
+        bounds: list[tuple[str, int, Polynomial]] = []
         interval_cache: dict[str, Interval] | None = None
-        for var in state_variables:
-            if var == COST_VAR:
-                continue
+        state = [var for var in state_variables if var != COST_VAR]
+        for var in state:
             update = transition.update_of(var)
             post = var + _POST_SUFFIX
-            primed.append(var)
             if isinstance(update, NondetUpdate):
-                post_poly = Polynomial.variable(post)
                 if update.lower is not None:
-                    constraints.append(LinIneq.geq(post_poly, update.lower))
+                    bounds.append((post, 1, update.lower))
                 if update.upper is not None:
-                    constraints.append(LinIneq.leq(post_poly, update.upper))
+                    bounds.append((post, -1, update.upper))
                 continue
             if update.is_affine():
-                post_poly = Polynomial.variable(post)
-                constraints.extend(LinIneq.equals(post_poly, update))
+                bounds.append((post, 1, update))
+                bounds.append((post, -1, update))
                 continue
             # Non-affine polynomial update: fall back to interval bounds.
             if interval_cache is None:
                 interval_cache = guarded.all_bounds()
             value_range = polynomial_range(update, interval_cache)
-            post_poly = Polynomial.variable(post)
             if value_range.lower is not None:
-                constraints.append(
-                    LinIneq.geq(post_poly, Polynomial.constant(value_range.lower))
-                )
+                bounds.append(
+                    (post, 1, Polynomial.constant(value_range.lower)))
             if value_range.upper is not None:
-                constraints.append(
-                    LinIneq.leq(post_poly, Polynomial.constant(value_range.upper))
-                )
+                bounds.append(
+                    (post, -1, Polynomial.constant(value_range.upper)))
 
-        polyhedron = Polyhedron(constraints)
-        polyhedron = polyhedron.project_out(
-            [var for var in state_variables if var != COST_VAR]
-        )
-        renaming = {var + _POST_SUFFIX: var for var in primed}
-        return Polyhedron(ineq.rename(renaming) for ineq in polyhedron.ineqs)
+        names_set = set(guarded.variables)
+        for post, _, bound in bounds:
+            names_set.add(post)
+            names_set.update(bound.variables)
+        names = sorted(names_set)
+        position = {name: k for k, name in enumerate(names)}
+        rows = _rows(guarded.ineqs, position)
+        # Each bound row mentions its own primed copy, so none is
+        # trivial or repeats another row.
+        for post, sign, bound in bounds:
+            values: list[Fraction | int] = [0] * (len(names) + 1)
+            values[position[post]] = sign
+            for mono, coeff in bound.terms():
+                k = position[mono.variables[0]] if mono.variables else -1
+                values[k] -= sign * coeff
+            rows.append(normal_row(values))
+        rows = _fourier_motzkin(rows, names, state, _MAX_CONSTRAINTS)
+        # Only primed copies and untracked variables survive the
+        # projection, so renaming each copy to its variable is injective
+        # and keeps every row in normal form.
+        unprimed = {var + _POST_SUFFIX: var for var in state}
+        names = [unprimed.get(name, name) for name in names]
+        return Polyhedron(LinIneq.from_row(names, row) for row in rows)
 
     # -- dunder plumbing ---------------------------------------------------------------
 
@@ -398,10 +405,10 @@ class Polyhedron:
             return NotImplemented
         if self._bottom or other._bottom:
             return self._bottom == other._bottom
-        return set(self._ineqs) == set(other._ineqs)
+        return self._constraint_set() == other._constraint_set()
 
     def __hash__(self) -> int:
-        return hash((self._bottom, frozenset(self._ineqs)))
+        return hash((self._bottom, self._constraint_set()))
 
     def __str__(self) -> str:
         if self._bottom:
@@ -414,31 +421,82 @@ class Polyhedron:
         return f"Polyhedron({str(self)!r})"
 
 
-def _eliminate(ineqs: list[LinIneq], var: str) -> list[LinIneq]:
-    """One Fourier-Motzkin elimination step."""
-    free: list[LinIneq] = []
-    positive: list[LinIneq] = []
-    negative: list[LinIneq] = []
+def _rows(ineqs: Iterable[LinIneq],
+          position: Mapping[str, int]) -> list[tuple[int, ...]]:
+    """Normal-form constraints as integer rows: the coefficient of each
+    name at its position, then the constant."""
+    rows: list[tuple[int, ...]] = []
     for ineq in ineqs:
-        coefficient = ineq.expr.coefficient(var)
-        if coefficient > 0:
-            positive.append(ineq)
-        elif coefficient < 0:
-            negative.append(ineq)
+        row = [0] * (len(position) + 1)
+        for name, coeff in ineq.expr.coefficients():
+            row[position[name]] = coeff.numerator
+        row[-1] = ineq.expr.constant_term.numerator
+        rows.append(tuple(row))
+    return rows
+
+
+def _fourier_motzkin(rows: list[tuple[int, ...]], names: Sequence[str],
+                     variables: Sequence[str],
+                     max_constraints: int) -> list[tuple[int, ...]]:
+    """:meth:`Polyhedron.project_out` on normal-form integer rows over
+    ``names``; returns normal-form rows, none trivial or repeated."""
+    position = {name: k for k, name in enumerate(names)}
+    # The trivial normal forms, 0 >= 0 and 1 >= 0, count as seen.
+    trivial = ((0,) * (len(names) + 1), (0,) * len(names) + (1,))
+
+    def elimination_size(var: str) -> int:
+        k = position.get(var)
+        if k is None:
+            return 0
+        positive = negative = 0
+        for row in rows:
+            if row[k] > 0:
+                positive += 1
+            elif row[k] < 0:
+                negative += 1
+        return positive * negative
+
+    remaining = list(variables)
+    while remaining:
+        # Pick the variable with the fewest pairings to limit growth.
+        remaining.sort(key=elimination_size)
+        var = remaining.pop(0)
+        if var in position:
+            rows = _eliminate(rows, position[var], trivial)
+        if len(rows) > max_constraints:
+            reduced = Polyhedron(
+                LinIneq.from_row(names, row) for row in rows).reduce()
+            rows = _rows(reduced.ineqs, position)[:max_constraints]
+    return rows
+
+
+def _eliminate(rows: list[tuple[int, ...]], k: int,
+               trivial: tuple[tuple[int, ...], ...],
+               ) -> list[tuple[int, ...]]:
+    """One Fourier-Motzkin step on column ``k``: the rows free of it,
+    then each positive×negative pair's combination in input order,
+    deduplicated with the first occurrence kept and trivial rows
+    dropped (a contradiction, ``-1 >= 0``, stays)."""
+    free: list[tuple[int, ...]] = []
+    positive: list[tuple[int, ...]] = []
+    negative: list[tuple[int, ...]] = []
+    for row in rows:
+        if row[k] > 0:
+            positive.append(row)
+        elif row[k] < 0:
+            negative.append(row)
         else:
-            free.append(ineq)
+            free.append(row)
     for pos in positive:
-        a_pos = pos.expr.coefficient(var)
+        a_pos = pos[k]
         for neg in negative:
-            a_neg = neg.expr.coefficient(var)
-            combined = pos.expr.scale(-a_neg) + neg.expr.scale(a_pos)
-            free.append(LinIneq(combined).normalize())
-    # Drop syntactic duplicates and trivia.
-    result: list[LinIneq] = []
-    seen: set[LinIneq] = set()
-    for ineq in free:
-        if ineq.is_trivial() or ineq in seen:
-            continue
-        seen.add(ineq)
-        result.append(ineq)
+            a_neg = -neg[k]
+            free.append(coprime_row(
+                [p * a_neg + n * a_pos for p, n in zip(pos, neg)]))
+    seen = set(trivial)
+    result: list[tuple[int, ...]] = []
+    for row in free:
+        if row not in seen:
+            seen.add(row)
+            result.append(row)
     return result

@@ -229,8 +229,10 @@ def job_from_payload(payload: dict, base: AnalysisConfig) -> AnalysisJob:
     if bound is not None and not isinstance(bound, str):
         raise ServeError("bound must be a polynomial string")
     candidate = payload.get("candidate")
-    if candidate is not None and not isinstance(candidate, (int, float)):
-        raise ServeError("candidate must be a number")
+    # bool is an int: a JSON true would run as a refutation of 1.0.
+    if candidate is not None and (isinstance(candidate, bool)
+                                  or not isinstance(candidate, (int, float))):
+        raise ServeError(f"candidate must be a number, got {candidate!r}")
     name = payload.get("name", "")
     if not isinstance(name, str):
         raise ServeError("name must be a string")

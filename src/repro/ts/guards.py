@@ -13,7 +13,8 @@ normalize exactly: ``a < b`` becomes ``b - a - 1 >= 0``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import PolynomialError
 from repro.poly.linexpr import AffineExpr
@@ -131,7 +132,7 @@ class LinIneq:
 
         Useful for deduplication in invariants: ``2x - 4 >= 0`` and
         ``x - 2 >= 0`` normalize identically.  Computed once per
-        instance.
+        instance; a normal form is its own normal form.
         """
         normal = self._normal
         if normal is True:
@@ -142,27 +143,25 @@ class LinIneq:
         return normal
 
     def _scaled_coprime(self) -> "LinIneq":
-        coeffs = [coeff for _, coeff in self._expr.coefficients()]
-        coeffs.append(self._expr.constant_term)
-        nonzero = [c for c in coeffs if c != 0]
-        if not nonzero:
+        pairs = list(self._expr.coefficients())
+        values = [coeff for _, coeff in pairs]
+        values.append(self._expr.constant_term)
+        row = normal_row(values)
+        if row == tuple(values):
             return self
-        from math import gcd
+        return LinIneq.from_row([name for name, _ in pairs], row)
 
-        denominator_lcm = 1
-        for c in nonzero:
-            denominator_lcm = denominator_lcm * c.denominator // gcd(
-                denominator_lcm, c.denominator
-            )
-        scaled = self._expr.scale(denominator_lcm)
-        numerators = [coeff.numerator for _, coeff in scaled.coefficients()]
-        numerators.append(scaled.constant_term.numerator)
-        divisor = 0
-        for n in numerators:
-            divisor = gcd(divisor, abs(n))
-        if divisor > 1:
-            scaled = scaled.scale(Fraction(1, divisor))
-        return LinIneq(scaled)
+    @staticmethod
+    def from_row(names: Sequence[str], row: Sequence[int]) -> "LinIneq":
+        """``row[0]*names[0] + ... + row[-1] >= 0`` for a row of coprime
+        integers (one more entry than ``names``: the constant), built as
+        its own normal form.  Names whose entry is 0 are left out, so
+        they may repeat."""
+        ineq = LinIneq(AffineExpr(
+            {name: coeff for name, coeff in zip(names, row) if coeff},
+            row[-1]))
+        ineq._normal = True
+        return ineq
 
     # -- dunder plumbing --------------------------------------------------
 
@@ -179,6 +178,28 @@ class LinIneq:
 
     def __repr__(self) -> str:
         return f"LinIneq({self._expr!r})"
+
+
+def coprime_row(row: list[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries: the entries of
+    its normal form (an all-zero row stays zero)."""
+    divisor = gcd(*row)
+    if divisor > 1:
+        return tuple([entry // divisor for entry in row])
+    return tuple(row)
+
+
+def normal_row(values: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The coprime integers that are a positive multiple of ``values``:
+    the entries of a normal form, from its numerators and denominators
+    (all zero when ``values`` are)."""
+    lcm = 1
+    for value in values:
+        denominator = value.denominator
+        if lcm % denominator:
+            lcm = lcm // gcd(lcm, denominator) * denominator
+    return coprime_row([value.numerator * (lcm // value.denominator)
+                        for value in values])
 
 
 def all_hold(ineqs: Iterable[LinIneq], valuation: Mapping[str, Numeric]) -> bool:

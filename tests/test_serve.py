@@ -56,9 +56,9 @@ proc count(n) {
 """
 QUICK_NEW = QUICK_OLD.replace("tick(1)", "tick(2)")
 
-#: Takes ~1.5s to analyze at degree 2 — slow enough that a 0.25s
-#: deadline reliably expires and that two back-to-back requests
-#: reliably overlap once the first is confirmed in flight.
+#: Takes ~0.2 s to analyze at degree 2: two back-to-back requests
+#: overlap once the first is confirmed in flight.  A test that needs it
+#: to outlast a deadline holds it with a ``job.delay`` rule.
 SLOW_OLD = """
 proc nested(n, m) {
   assume(1 <= n && n <= 100 && 1 <= m && m <= 100);
@@ -230,6 +230,13 @@ class TestRoundTrip:
                         server.port, "POST", "/analyze", payload)
                     assert status == 400, payload
                     assert "error" in body
+                # A JSON boolean is not a refutation candidate.
+                status, body = await http_json(
+                    server.port, "POST", "/analyze",
+                    {"kind": "refute", "old_source": QUICK_OLD,
+                     "new_source": QUICK_NEW, "candidate": True})
+                assert status == 400
+                assert "candidate" in body["error"], body
                 # Mistyped or retired config overrides are rejected at
                 # the door with an error naming the field, before any
                 # job is keyed or dispatched.
@@ -237,6 +244,8 @@ class TestRoundTrip:
                                      ("degree", True),
                                      ("max_products", 1.5),
                                      ("widening_delay", "x"),
+                                     ("widening_delay", -5),
+                                     ("narrowing_passes", -1),
                                      ("lp_incremental", False)):
                     payload = {"kind": "diff", "old_source": QUICK_OLD,
                                "new_source": QUICK_NEW,
@@ -371,6 +380,13 @@ class TestMetricsEndpoint:
 
 class TestDeadline:
     def test_deadline_returns_structured_timeout_and_cancels(self, tmp_path):
+        # A delay rule holds the job past the deadline whatever the
+        # host's speed.  Set before the server forks its workers, which
+        # inherit the plan.
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "job.delay", "name": "nested", "seconds": 30,
+             "max_attempts": 0}]}))
+
         async def scenario():
             server = await started_server(tmp_path)
             try:
@@ -400,11 +416,20 @@ class TestDeadline:
             finally:
                 await server.stop()
 
-        run_async(scenario())
+        try:
+            run_async(scenario())
+        finally:
+            set_plan(None)
 
     def test_waiter_deadline_does_not_kill_shared_job(self, tmp_path):
         """A timed-out waiter only withdraws *itself*: the job keeps
         running for the patient waiter, which still gets the answer."""
+        # A one-second delay outlasts the hasty waiter's deadline
+        # whatever the host's speed.
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "job.delay", "name": "nested", "seconds": 1,
+             "max_attempts": 0}]}))
+
         async def scenario():
             server = await started_server(tmp_path)
             try:
@@ -429,7 +454,10 @@ class TestDeadline:
             finally:
                 await server.stop()
 
-        run_async(scenario())
+        try:
+            run_async(scenario())
+        finally:
+            set_plan(None)
 
 
 QUICK_PAYLOAD = {"kind": "diff", "old_source": QUICK_OLD,
@@ -987,6 +1015,14 @@ class TestJobFromPayload:
             AnalysisConfig(),
         )
         assert job.candidate == 9.0
+
+    def test_refute_payload_rejects_a_boolean_candidate(self):
+        with pytest.raises(ServeError, match="candidate"):
+            job_from_payload(
+                {"kind": "refute", "old_source": QUICK_OLD,
+                 "new_source": QUICK_NEW, "candidate": True},
+                AnalysisConfig(),
+            )
 
 
 async def http_post_raw(port, path, payload):

@@ -105,9 +105,13 @@ class TestAnalysisConfig:
         for field, value in (("degree", "3"), ("degree", 2.5),
                              ("degree", True), ("max_products", 1.5),
                              ("widening_delay", "x"),
-                             ("narrowing_passes", None)):
+                             ("narrowing_passes", None),
+                             ("widening_delay", -5),
+                             ("narrowing_passes", -1)):
             with pytest.raises(AnalysisError, match=field):
                 AnalysisConfig(**{field: value})
+        # Zero stays valid for both engine knobs.
+        AnalysisConfig(widening_delay=0, narrowing_passes=0)
 
 
 class TestReporting:
