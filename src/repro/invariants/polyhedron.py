@@ -439,7 +439,9 @@ def _fourier_motzkin(rows: list[tuple[int, ...]], names: Sequence[str],
                      variables: Sequence[str],
                      max_constraints: int) -> list[tuple[int, ...]]:
     """:meth:`Polyhedron.project_out` on normal-form integer rows over
-    ``names``; returns normal-form rows, none trivial or repeated."""
+    ``names``; returns normal-form rows, none trivial or repeated.  When
+    the prune finds the rows empty, the result is the contradiction
+    ``-1 >= 0`` alone."""
     position = {name: k for k, name in enumerate(names)}
     # The trivial normal forms, 0 >= 0 and 1 >= 0, count as seen.
     trivial = ((0,) * (len(names) + 1), (0,) * len(names) + (1,))
@@ -466,6 +468,10 @@ def _fourier_motzkin(rows: list[tuple[int, ...]], names: Sequence[str],
         if len(rows) > max_constraints:
             reduced = Polyhedron(
                 LinIneq.from_row(names, row) for row in rows).reduce()
+            if reduced.is_bottom():
+                # Bottom has no constraints to carry on: eliminating
+                # further from none would read as top.
+                return [(0,) * len(names) + (-1,)]
             rows = _rows(reduced.ineqs, position)[:max_constraints]
     return rows
 

@@ -12,7 +12,8 @@ kernel: only :class:`~repro.ts.guards.LinIneq` as a value type and
 
 ``events``, where a function takes it, counts what a call met
 (``duplicate``, ``trivial``, ``contradiction``, ``reduce``,
-``truncate``), so property tests can show they covered each case.
+``empty``, ``truncate``), so property tests can show they covered each
+case.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Sequence
 
 from repro.invariants.intervals import Interval, polynomial_range
 from repro.invariants.polyhedron import Polyhedron
+from repro.poly.linexpr import AffineExpr
 from repro.poly.polynomial import Polynomial
 from repro.ts.guards import LinIneq
 from repro.ts.system import COST_VAR, NondetUpdate, Transition
@@ -97,7 +99,9 @@ def project_constraints(ineqs: Sequence[LinIneq], variables: Sequence[str],
                         max_constraints: int = 64,
                         events: Counter | None = None) -> list[LinIneq]:
     """The elimination loop: ``variables`` eliminated cheapest first
-    from normal-form ``ineqs``, pruning past ``max_constraints``."""
+    from normal-form ``ineqs``, pruning past ``max_constraints``.  A
+    prune that finds the constraints empty ends the loop with the
+    contradiction ``-1 >= 0`` alone, so the projection is bottom."""
     events = Counter() if events is None else events
     current = list(ineqs)
     remaining = list(variables)
@@ -114,6 +118,9 @@ def project_constraints(ineqs: Sequence[LinIneq], variables: Sequence[str],
         if len(current) > max_constraints:
             events["reduce"] += 1
             reduced = Polyhedron(current).reduce()
+            if reduced.is_bottom():
+                events["empty"] += 1
+                return [LinIneq(AffineExpr.constant(-1))]
             current = list(reduced.ineqs)
             if len(current) > max_constraints:
                 events["truncate"] += 1

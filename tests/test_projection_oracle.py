@@ -7,7 +7,8 @@ included, as the ``Fraction`` elimination kept in
 systems.  The systems include rows that cancel to ``0 >= 0``, to a
 positive constant and to a contradiction, and combinations that
 coincide; small ``max_constraints`` values drive the prune-and-truncate
-path.  ``test_the_random_systems_cover_every_case`` checks that they do.
+path, and some prunes find the system empty.
+``test_the_random_systems_cover_every_case`` checks that they do.
 """
 
 import os
@@ -104,7 +105,7 @@ def test_the_random_systems_cover_every_case():
         oracle.project_constraints(
             Polyhedron(system).ineqs, variables, max_constraints, events)
     for case in ("duplicate", "trivial", "contradiction", "reduce",
-                 "truncate"):
+                 "empty", "truncate"):
         assert events[case] >= 3, (case, events)
 
 
@@ -171,6 +172,19 @@ def test_transfer_matches_fraction_transfer(first):
         expected = oracle.transfer(polyhedron, transition, STATE)
         assert post.is_bottom() == expected.is_bottom(), seed
         assert strs(post.ineqs) == strs(expected.ineqs), seed
+
+
+def test_projection_keeps_emptiness_found_by_the_prune():
+    # x >= y >= x + 1 is empty. Eliminating z leaves five rows, more
+    # than max_constraints = 2, so the prune runs and finds the rows
+    # empty; carrying its empty constraint list on read as top.
+    x, y, z, w = (Polynomial.variable(name) for name in "xyzw")
+    polyhedron = Polyhedron([
+        LinIneq.geq(x, y), LinIneq.geq(y, x + 1), LinIneq.geq(z, 0),
+        LinIneq.leq(z, 5), LinIneq.leq(z, w), LinIneq.leq(w, z + 3),
+        LinIneq.geq(x, 0)])
+    assert polyhedron.project_out(["z"], max_constraints=2).is_bottom()
+    assert oracle.project_out(polyhedron, ["z"], 2).is_bottom()
 
 
 def test_transfer_of_an_empty_nondet_range_is_bottom():
