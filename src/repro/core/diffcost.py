@@ -34,6 +34,7 @@ from repro.core.potentials import (
 from repro.core.results import AnalysisStatus, DiffCostResult
 from repro.errors import AnalysisError
 from repro.handelman.encode import ImplicationConstraint, encode_implication
+from repro.handelman.products import ProductTable
 from repro.invariants.generator import InvariantMap, generate_invariants
 from repro.lang.lower import LoweredProgram
 from repro.lp.backend import get_backend
@@ -174,9 +175,11 @@ class DiffCostAnalyzer:
         with self.stopwatch.phase("encoding"):
             model = LPModel()
             fresh = FreshNameGenerator()
+            products = ProductTable()
             for constraint in constraints:
                 encode_implication(
-                    constraint, model, fresh, self.config.max_products
+                    constraint, model, fresh, self.config.max_products,
+                    products,
                 )
         return model
 

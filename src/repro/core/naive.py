@@ -31,6 +31,7 @@ from repro.core.diffcost import DiffCostAnalyzer, ProgramLike, extract_certifica
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL, PotentialFunction
 from repro.core.results import AnalysisStatus, DiffCostResult
 from repro.handelman.encode import ImplicationConstraint, encode_implication
+from repro.handelman.products import ProductTable
 from repro.invariants.polyhedron import Polyhedron
 from repro.lp.backend import get_backend
 from repro.lp.model import LPModel
@@ -67,8 +68,10 @@ def _solve_unary(analyzer: DiffCostAnalyzer, system: TransitionSystem,
     )
     model = LPModel()
     encoding_fresh = FreshNameGenerator()
+    products = ProductTable()
     for constraint in constraints:
-        encode_implication(constraint, model, encoding_fresh, config.max_products)
+        encode_implication(constraint, model, encoding_fresh,
+                           config.max_products, products)
     anchor_value = templates.at(system.initial_location).evaluate_program_vars(
         anchor
     )

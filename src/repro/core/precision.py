@@ -25,6 +25,7 @@ from repro.core.diffcost import ProgramLike, _unpack, extract_certificate
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL
 from repro.core.results import AnalysisStatus, SingleProgramResult
 from repro.handelman.encode import encode_implication
+from repro.handelman.products import ProductTable
 from repro.invariants.generator import InvariantMap, generate_invariants
 from repro.lp.backend import get_backend
 from repro.lp.model import LPModel
@@ -77,8 +78,10 @@ def analyze_single_program(program: ProgramLike,
 
     model = LPModel()
     encoding_fresh = FreshNameGenerator()
+    products = ProductTable()
     for constraint in constraints:
-        encode_implication(constraint, model, encoding_fresh, config.max_products)
+        encode_implication(constraint, model, encoding_fresh,
+                           config.max_products, products)
     model.minimize(AffineExpr.variable(PRECISION_SYMBOL))
 
     solution = get_backend(config.lp_backend).solve(model)

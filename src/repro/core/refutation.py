@@ -41,6 +41,7 @@ from repro.core.diffcost import DiffCostAnalyzer, ProgramLike, extract_certifica
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL
 from repro.core.results import AnalysisStatus, RefutationResult
 from repro.handelman.encode import encode_implication
+from repro.handelman.products import ProductTable
 from repro.invariants.polyhedron import Polyhedron
 from repro.lp.backend import backend_is_exact, get_backend
 from repro.lp.dual import IncrementalLP
@@ -153,10 +154,11 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
     with stopwatch.phase("encoding"):
         model = LPModel()
         encoding_fresh = FreshNameGenerator()
+        products = ProductTable()
         for constraint in constraints:
             encode_implication(
                 constraint, model, encoding_fresh,
-                analyzer.config.max_products,
+                analyzer.config.max_products, products,
             )
 
     exact = backend_is_exact(analyzer.config.lp_backend)

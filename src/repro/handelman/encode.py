@@ -6,16 +6,19 @@ Each :class:`ImplicationConstraint` ``⋀ aff_i >= 0 ⇒ poly >= 0`` becomes
 
 as a polynomial identity: one equality per monomial of ``poly − Σ c_g·g``,
 linear in the template symbols and the fresh ``c_g``.  One pass builds
-it: rows seeded with ``poly``'s coefficients take ``−coeff·c_g`` for each
-term of each product, and each nonzero row is added once as an
-:class:`AffineExpr`, so the cost is linear in the number of product terms.
+it: rows seeded with ``poly``'s coefficients take each term of each
+product's column (see :meth:`ProductTable.column`) times ``c_g``, and
+each nonzero row is added once as an :class:`AffineExpr`, so the cost is
+linear in the number of product terms.  The implications of one set
+share a :class:`ProductTable`, so each distinct product is multiplied
+and normalized once per set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.handelman.products import generate_products
+from repro.handelman.products import ProductTable
 from repro.lp.model import LPModel
 from repro.poly.linexpr import AffineExpr
 from repro.poly.template import TemplatePolynomial
@@ -45,36 +48,30 @@ class EncodingStats:
 
 
 def encode_implication(constraint: ImplicationConstraint, model: LPModel,
-                       fresh: FreshNameGenerator,
-                       max_factors: int) -> EncodingStats:
+                       fresh: FreshNameGenerator, max_factors: int,
+                       products: ProductTable | None = None) -> EncodingStats:
     """Encode one implication into ``model``; returns size statistics.
 
     Fresh nonnegative multiplier variables are named
-    ``c[<constraint name>]!<index>``.
+    ``c[<constraint name>]!<index>``.  Pass one ``products`` table to
+    every implication of a set encoded into one model; the model does
+    not depend on what the table already holds.
     """
-    affine_polys = [ineq.expr.to_polynomial() for ineq in constraint.premise]
-    products = generate_products(affine_polys, max_factors)
+    table = ProductTable() if products is None else products
+    keys = table.keys([ineq.expr.to_polynomial()
+                       for ineq in constraint.premise], max_factors)
 
     rows = {mono: (dict(expr.coefficients()), expr.constant_term)
             for mono, expr in constraint.consequent.terms()}
-    for product in products:
+    for key in keys:
         multiplier = fresh.fresh(f"c[{constraint.name}]")
         model.add_variable(multiplier, lower=0)
-        # Normalize the product to unit max-coefficient: mathematically
-        # a reparametrization of c_g (which is nonnegative either way)
-        # but it keeps the LP matrix well-conditioned — degree-3
-        # products of [1,100]-box constraints otherwise reach 1e6-scale
-        # coefficients that make HiGHS fail.
-        largest = max(abs(coeff) for _, coeff in product.terms())
-        if largest > 1:
-            product = product.scale(1 / largest)
-        for mono, coeff in product.terms():
-            coeffs = rows.setdefault(mono, ({}, 0))[0]
-            coeffs[multiplier] = coeffs.get(multiplier, 0) - coeff
+        for mono, coeff in table.column(key):
+            rows.setdefault(mono, ({}, 0))[0][multiplier] = coeff
 
     monomials = [mono for mono in sorted(rows)
                  if rows[mono][1] or any(rows[mono][0].values())]
     for mono in monomials:
         model.add_equality(AffineExpr(*rows[mono]),
                            name=f"{constraint.name}:{mono}")
-    return EncodingStats(products=len(products), monomials=len(monomials))
+    return EncodingStats(products=len(keys), monomials=len(monomials))

@@ -3,7 +3,8 @@
 Every LP question the invariant domain asks about a polyhedron
 ``P = {x : a_i·x + b_i >= 0}`` is decided through its dual, whose
 certificates are the degree-1 (Farkas) case of the paper's Handelman
-step (:mod:`repro.handelman.farkas`):
+step (:func:`~repro.handelman.encode.encode_implication` with
+``max_factors=1``):
 
 - ``min{c·x : x in P} = -min{b·λ : Aᵀλ = c, λ >= 0}``
   (:func:`dual_minimum`).  An unbounded dual means ``P`` is empty; an

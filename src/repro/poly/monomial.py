@@ -24,7 +24,7 @@ class Monomial:
     'x^2*y'
     """
 
-    __slots__ = ("_powers", "_hash")
+    __slots__ = ("_powers", "_key", "_hash")
 
     def __init__(self, powers: Mapping[str, int] | None = None):
         items = []
@@ -37,6 +37,9 @@ class Monomial:
                 if exp > 0:
                     items.append((var, exp))
         self._powers: tuple[tuple[str, int], ...] = tuple(items)
+        # The (degree, lexicographic) sort key, built once: sorting
+        # polynomial terms and encoding rows compares monomials often.
+        self._key = (sum(exp for _, exp in items), self._powers)
         self._hash = hash(self._powers)
 
     @staticmethod
@@ -52,7 +55,7 @@ class Monomial:
     @property
     def degree(self) -> int:
         """Total degree (sum of exponents)."""
-        return sum(exp for _, exp in self._powers)
+        return self._key[0]
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -117,7 +120,7 @@ class Monomial:
     def __lt__(self, other: "Monomial") -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return (self.degree, self._powers) < (other.degree, other._powers)
+        return self._key < other._key
 
     def __hash__(self) -> int:
         return self._hash
