@@ -2,6 +2,7 @@
 scheduler (`repro.engine.scheduler`)."""
 
 import asyncio
+import contextlib
 import errno
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ from repro.engine import (
 )
 from repro.engine.scheduler import EscalationScheduler
 from repro.errors import AnalysisError
+from repro.faults import FaultPlan, set_plan
 
 COUNT_OLD = """
 proc count(n) {
@@ -52,9 +54,10 @@ proc quad(n) {
 
 QUAD_NEW = QUAD_OLD.replace("var i = 0;", "tick(1);\n  var i = 0;")
 
-# Cubic-cost pair: d2K2 succeeds but takes seconds — a reliably *slow*
-# rung for ordering-sensitive tests (the fast rungs take well under a
-# second).
+# Cubic-cost pair: d2K2 succeeds in well under a second in a one-worker
+# pool, a few times longer than the count pair's fast rungs.  A test
+# that needs it still running, or finishing last, holds it with
+# ``held`` whatever the host's speed.
 NESTED_OLD = """
 proc nested(n, m, p) {
   assume(1 <= n && n <= 100);
@@ -92,6 +95,20 @@ def nested_job(config=None, name="nested"):
     config = config or AnalysisConfig(degree=2, max_products=2)
     return AnalysisJob(kind="diff", old_source=NESTED_OLD,
                        new_source=NESTED_NEW, config=config, name=name)
+
+
+@contextlib.contextmanager
+def held(name, seconds=30.0):
+    """Delay jobs named ``name`` by ``seconds`` before they run: a
+    ``job.delay`` rule, installed before the pool forks the workers
+    that inherit it."""
+    set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+        {"site": "job.delay", "name": name, "seconds": seconds,
+         "max_attempts": 0}]}))
+    try:
+        yield
+    finally:
+        set_plan(None)
 
 
 @pytest.fixture
@@ -138,7 +155,7 @@ class TestWorkerPool:
             assert pool.spawned == 1
 
     def test_cancel_running_kills_exactly_that_worker(self):
-        with WorkerPool(2) as pool:
+        with held("nested"), WorkerPool(2) as pool:
             slow = pool.submit(nested_job(), priority=(0,))
             fast = pool.submit(count_job(), priority=(1,))
             while fast.result is None:
@@ -153,7 +170,7 @@ class TestWorkerPool:
             assert again.result.threshold == 10.0
 
     def test_dead_worker_surfaces_structured_error(self):
-        with WorkerPool(1) as pool:
+        with held("nested"), WorkerPool(1) as pool:
             task = pool.submit(nested_job())
             deadline = time.time() + 10
             while not pool._workers and time.time() < deadline:
@@ -213,13 +230,13 @@ class TestWorkerSignals:
 
     @staticmethod
     def _cancel_running_job():
-        with WorkerPool(1) as pool:
+        with held("nested"), WorkerPool(1) as pool:
             task = pool.submit(nested_job())
             deadline = time.time() + 10
             while not pool._workers and time.time() < deadline:
                 time.sleep(0.01)
             process = pool._workers[0].process
-            time.sleep(0.3)  # well inside the seconds-long job
+            time.sleep(0.3)  # well inside the held job
             assert pool.cancel(task) is True
             process.join(10)
             return process
@@ -268,14 +285,15 @@ class TestEscalationScheduler:
             assert executor.pools_created == 1
 
     def test_completed_loser_rung_is_harvested_into_cache(self, tmp_path):
-        # Rung 0 (the eventual winner) takes seconds; rung 1 completes
-        # long before.  The loser's paid-for result must land in the
-        # cache even though selection reports it "cancelled" — and no
-        # worker may be killed, because every rung had finished (the
-        # cancel/done race).
+        # Rung 0 (the eventual winner) is held a second; rung 1
+        # completes long before.  The loser's paid-for result must land
+        # in the cache even though selection reports it "cancelled" —
+        # and no worker may be killed, because every rung had finished
+        # (the cancel/done race).
         cache = ResultCache(tmp_path)
         loser = count_job(name="fast-loser")
-        with ParallelExecutor(jobs=2, cache=cache) as executor:
+        with held("nested", seconds=1.0), \
+                ParallelExecutor(jobs=2, cache=cache) as executor:
             results = executor.run_escalating([nested_job(), loser])
             assert results[0].succeeded
             assert results[1].status == "cancelled"
@@ -295,7 +313,8 @@ class TestEscalationScheduler:
         # of it is cached.
         cache = ResultCache(tmp_path)
         loser = nested_job(name="slow-loser")
-        with ParallelExecutor(jobs=2, cache=cache) as executor:
+        with held("slow-loser"), \
+                ParallelExecutor(jobs=2, cache=cache) as executor:
             results = executor.run_escalating([count_job(), loser])
             assert results[0].succeeded
             assert results[1].status == "cancelled"

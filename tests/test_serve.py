@@ -72,7 +72,8 @@ proc nested(n, m) {
 """
 SLOW_NEW = SLOW_OLD.replace("tick(1)", "tick(3)")
 
-#: Several seconds at degree 2: still running well after it is admitted.
+#: Under half a second at degree 2 and a few seconds at d = K = 3.
+#: Tests confirm it in flight before they rely on it running.
 CUBIC_OLD = """
 proc nested(n, m, p) {
   assume(1 <= n && n <= 100);
