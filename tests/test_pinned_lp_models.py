@@ -28,9 +28,8 @@ def lp_model_digest(model) -> str:
     """sha256 over variable names and bounds in declaration order, then
     each constraint's name, sense and exact coefficients, then the
     objective."""
-    lines = [f"var {name} {lower} {upper}"
-             for name in model.variable_names
-             for lower, upper in [model.bounds(name)]]
+    lines = ["var {} {} {}".format(name, *model.bounds(name))
+             for name in model.variable_names]
 
     def terms(expr) -> str:
         body = " ".join(f"{symbol}:{coeff}"
