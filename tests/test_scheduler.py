@@ -336,6 +336,43 @@ class TestEscalationScheduler:
             assert results[0].outcome == "unknown"
             assert results[1].threshold == 1.0
 
+    def test_crashed_rung_is_retried_without_moving_selection(self):
+        # Pair alpha's cheap rung loses its worker on the first attempt
+        # and wins on the retry: statuses and chosen rungs match the
+        # sequential walk, and only the retry counters tell them apart.
+        ladders = [
+            [count_job(name="alpha[d1]"),
+             count_job(AnalysisConfig(degree=2, max_products=2),
+                       name="alpha[d2]")],
+            [count_job(AnalysisConfig(degree=1, max_products=2),
+                       name="beta[d1]"),
+             count_job(AnalysisConfig(degree=3, max_products=2),
+                       name="beta[d2]")],
+        ]
+
+        def selection(results):
+            return ([[r.status for r in rungs] for rungs in results],
+                    [rungs.index(select_result(rungs, "first"))
+                     for rungs in results])
+
+        with ParallelExecutor(jobs=1) as executor:
+            sequential = executor.run_escalating_many(ladders)
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "worker.crash", "name": "alpha[d1]",
+             "max_attempts": 1}]}))
+        try:
+            with ParallelExecutor(jobs=2) as executor:
+                parallel = executor.run_escalating_many(ladders)
+                assert executor.stats.retries == 1
+                assert executor.stats.errors == 0
+                assert executor.pool.crashed == 1
+        finally:
+            set_plan(None)
+        assert selection(parallel) == selection(sequential)
+        assert selection(parallel)[1] == [0, 0]
+        assert parallel[0][0].attempts == 1
+        assert parallel[0][0].threshold == 10.0
+
     def test_max_inflight_validation(self):
         with ParallelExecutor(jobs=2) as executor:
             with pytest.raises(AnalysisError):

@@ -17,6 +17,7 @@ import errno
 import gc
 import json
 import os
+import socket
 import sqlite3
 import statistics
 import sys
@@ -28,7 +29,8 @@ import pytest
 
 from cache_rows import read_entry, stored_keys
 from repro.config import AnalysisConfig, EngineConfig, ServeConfig
-from repro.engine import ResultCache, run_batch, shard_pairs, discover_pairs
+from repro.engine import (AnalysisJob, ResultCache, discover_pairs, run_batch,
+                          shard_pairs)
 from repro.engine import scheduler
 from repro.engine.batch import batch_to_json
 from repro.engine.executor import ParallelExecutor
@@ -646,6 +648,90 @@ class TestEngineBridge:
                 await server.stop()
 
         run_async(scenario())
+
+
+def quick_job(name: str, tick: int = 2) -> AnalysisJob:
+    return AnalysisJob(kind="diff", old_source=QUICK_OLD,
+                       new_source=QUICK_OLD.replace("tick(1)",
+                                                    f"tick({tick})"),
+                       name=name)
+
+
+class TestSubmissionRetry:
+    """A job whose first attempt fails transiently is re-run inside the
+    engine: its submitter gets exactly one answer, from the last
+    attempt."""
+
+    @pytest.fixture(autouse=True)
+    def flaky_plan(self):
+        # Installed before the pool forks the workers that inherit it.
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "job.error", "name": "flaky", "max_attempts": 1},
+            {"site": "job.delay", "name": "holder", "seconds": 30,
+             "max_attempts": 0}]}))
+        yield
+        set_plan(None)
+
+    def test_submit_job_answers_once_from_the_retry(self):
+        answers = []
+        with ParallelExecutor(jobs=1, max_retries=2) as executor:
+            executor.submit_job(quick_job("flaky"), answers.append)
+            deadline = time.monotonic() + 60
+            while not answers:
+                assert time.monotonic() < deadline
+                executor.poll(None)
+            executor.poll(None)  # nothing runs any more: returns at once
+            assert [(r.status, r.attempts) for r in answers] == [("ok", 1)]
+            assert executor.stats.retries == 1
+            assert executor.stats.errors == 0
+
+    def test_post_analyze_answers_once_from_the_retry(self, tmp_path):
+        async def scenario():
+            server = await started_server(tmp_path)
+            try:
+                status, body = await http_json(
+                    server.port, "POST", "/analyze",
+                    dict(QUICK_PAYLOAD, name="flaky"))
+                assert status == 200
+                assert body["result"]["status"] == "ok"
+                assert body["result"]["attempts"] == 1
+                _status, health = await http_json(
+                    server.port, "GET", "/healthz")
+                engine = health["engine"]
+                assert engine["retries"] == 1
+                assert (engine["completed"], engine["errors"]) == (1, 0)
+            finally:
+                await server.stop()
+
+        run_async(scenario())
+
+    def test_cancel_between_a_failure_and_its_retry(self):
+        # One worker: the flaky job fails first, then the held job (a
+        # lower priority tuple) takes the worker and the retry waits
+        # behind it — where the cancel finds it.
+        answers = []
+        waker, wake = socket.socketpair()
+        waker.send(b"\0")  # never read: every poll returns promptly
+        try:
+            with ParallelExecutor(jobs=1, max_retries=2) as executor:
+                flaky = executor.submit_job(quick_job("flaky"),
+                                            answers.append, priority=(1,))
+                executor.submit_job(quick_job("holder", tick=3),
+                                    answers.append, priority=(0,))
+                deadline = time.monotonic() + 60
+                while executor.stats.retries < 1:
+                    assert time.monotonic() < deadline
+                    executor.poll(wake)
+                    time.sleep(0.01)
+                assert executor.cancel_task(flaky) is True
+                for _ in range(3):
+                    executor.poll(wake)
+                assert answers == []
+                assert executor.stats.cancelled == 1
+                assert executor.pool.terminated == 0
+        finally:
+            waker.close()
+            wake.close()
 
 
 class TestPortfolioRequests:
