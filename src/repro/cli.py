@@ -9,8 +9,8 @@ Subcommands::
     repro-diffcost single PROGRAM.imp
     repro-diffcost suite [--names a,b,c] [--jobs N]
     repro-diffcost batch DIR [--jobs N] [--portfolio] [--refute]
-                             [--cache-dir D] [--max-inflight-pairs N]
-                             [--shard K/N] [--trace T.jsonl] [--log-level L]
+                             [--cache-dir D] [--shard K/N]
+                             [--trace T.jsonl] [--log-level L]
                              [--max-retries N] [--hang-timeout S]
                              [--faults PLAN.json]
     repro-diffcost merge-shards SHARD.json... [-o merged.json]
@@ -267,9 +267,7 @@ def _command_batch(args: argparse.Namespace) -> int:
         portfolio=(args.portfolio or args.portfolio_mode is not None
                    or args.refute),
         portfolio_mode=args.portfolio_mode or "first",
-        max_inflight_pairs=args.max_inflight_pairs,
         refute=args.refute,
-        refute_margin=args.refute_margin,
         shard=parse_shard_spec(args.shard) if args.shard else None,
     )
     with _sigterm_as_interrupt():
@@ -632,21 +630,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first succeeding rung wins, or minimal "
                             "threshold among succeeding rungs "
                             "(implies --portfolio; default: first)")
-    batch.add_argument("--max-inflight-pairs", type=int, default=None,
-                       metavar="N",
-                       help="first-mode portfolio scheduler: cap on "
-                            "pairs escalating at once on the shared "
-                            "worker pool (default: auto from --jobs; "
-                            "does not affect which rungs are chosen)")
     batch.add_argument("--refute", action="store_true",
                        help="portfolio mode: probe each chosen "
                             "threshold T with an exact refutation of "
-                            "T - margin; [tight] rows are certified "
-                            "minimal within the margin")
-    batch.add_argument("--refute-margin", type=float, default=1.0,
-                       metavar="M",
-                       help="tightness probe margin (default 1.0 — "
-                            "exactly tight for integer-cost programs)")
+                            "T - 1; [tight] rows are certified minimal "
+                            "(exactly, for integer-cost programs)")
     batch.add_argument("--shard", default=None, metavar="K/N",
                        help="run only the pairs the deterministic "
                             "job-hash partition assigns to shard K of N "

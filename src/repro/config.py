@@ -100,22 +100,12 @@ class EngineConfig:
     portfolio_mode:
         ``"first"`` (first succeeding rung wins, losers cancelled) or
         ``"best"`` (minimal threshold among succeeding rungs).
-    max_inflight_pairs:
-        In ``first``-mode portfolio batches, how many pairs' escalation
-        ladders the scheduler keeps in flight at once on the shared
-        worker pool.  ``None`` (default) sizes automatically from the
-        pool: enough pairs to keep every worker busy without flooding
-        the queue.  Has no effect on selection — chosen rungs are
-        deterministic regardless.
     refute:
         Portfolio mode only: after selection, probe every chosen
-        threshold ``T`` with a ``refute`` job at candidate
-        ``T - refute_margin`` (winning rung's template shape, exact
-        backend).  A refuted probe certifies the threshold tight to
-        within the margin; see ``PortfolioResult.tight``.
-    refute_margin:
-        Slack allowed by the tightness probe (default 1.0 — exactly
-        tight for integer-cost programs).
+        threshold ``T`` with a ``refute`` job at candidate ``T - 1``
+        (winning rung's template shape, exact backend).  A refuted
+        probe certifies the threshold tight to within 1 — exactly
+        tight for integer-cost programs; see ``PortfolioResult.tight``.
     shard:
         ``(k, n)``: analyze only the pairs that the deterministic
         job-hash partition assigns to shard ``k`` of ``n`` (see
@@ -134,10 +124,6 @@ class EngineConfig:
         many seconds and retry the job (``None`` = hang detection off,
         the default: a legitimate job inside one long uninterruptible
         C-level LP solve is silent too).
-    quarantine_after:
-        Park one worker slot after this many *consecutive* worker
-        crashes, so a poisoned machine degrades to a smaller pool
-        instead of a crash loop (the pool never shrinks below 1).
     """
 
     jobs: int = 1
@@ -145,13 +131,10 @@ class EngineConfig:
     cache_dir: str | None = None
     portfolio: bool = False
     portfolio_mode: str = "first"
-    max_inflight_pairs: int | None = None
     refute: bool = False
-    refute_margin: float = 1.0
     shard: tuple[int, int] | None = None
     max_retries: int = 2
     hang_timeout: float | None = None
-    quarantine_after: int = 3
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -162,19 +145,11 @@ class EngineConfig:
             raise AnalysisError("max_retries must be >= 0")
         if self.hang_timeout is not None and self.hang_timeout <= 0:
             raise AnalysisError("hang_timeout must be positive (or None)")
-        if self.quarantine_after < 1:
-            raise AnalysisError("quarantine_after must be at least 1")
         if self.portfolio_mode not in ("first", "best"):
             raise AnalysisError(
                 f"unknown portfolio_mode {self.portfolio_mode!r} "
                 "(use 'first' or 'best')"
             )
-        if self.max_inflight_pairs is not None and self.max_inflight_pairs < 1:
-            raise AnalysisError(
-                "max_inflight_pairs must be at least 1 (or None for auto)"
-            )
-        if self.refute_margin <= 0:
-            raise AnalysisError("refute_margin must be positive")
         if self.shard is not None:
             index, count = self.shard
             if count < 1 or not 0 <= index < count:

@@ -233,9 +233,7 @@ def _run_portfolio_pairs(executor: ParallelExecutor,
         # "first" overlaps the escalation ladders of many pairs on the
         # shared pool; per-pair selection stays ladder-order
         # deterministic (chosen rungs identical to --jobs 1).
-        rungs_per_pair = executor.run_escalating_many(
-            per_pair, max_inflight=engine.max_inflight_pairs
-        )
+        rungs_per_pair = executor.run_escalating_many(per_pair)
     portfolios = [
         PortfolioResult(
             name=pair.name,
@@ -249,7 +247,7 @@ def _run_portfolio_pairs(executor: ParallelExecutor,
         attach_refutations(
             portfolios,
             {pair.name: pair.sources() for pair in pairs},
-            executor, base=config, margin=engine.refute_margin,
+            executor, base=config,
         )
     record_portfolio_metrics(portfolios)
     return [rung for p in portfolios for rung in p.rungs], portfolios
@@ -339,7 +337,6 @@ def run_batch(directory: str | Path,
     with ParallelExecutor(
         jobs=engine.jobs, timeout=engine.timeout, cache=cache,
         max_retries=engine.max_retries, hang_timeout=engine.hang_timeout,
-        quarantine_after=engine.quarantine_after,
     ) as executor:
         executor.on_result = (
             lambda result: recorded.__setitem__(result.job_key, result)

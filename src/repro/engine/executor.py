@@ -266,8 +266,9 @@ class ParallelExecutor:
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None or self._pool.closed:
             self._pool = WorkerPool(
-                self.jobs, hang_timeout=self.hang_timeout,
-                quarantine_after=self.quarantine_after,
+                self.jobs, timeout=self.timeout,
+                hang_timeout=self.hang_timeout,
+                quarantine_after=self.quarantine_after, retry=self._retry,
             )
             self.pools_created += 1
         return self._pool
@@ -330,24 +331,21 @@ class ParallelExecutor:
             self.on_result(result)
         return result
 
-    # -- retry classification ----------------------------------------------
+    # -- retries -----------------------------------------------------------
 
-    def _should_retry(self, result: JobResult, attempt: int) -> bool:
-        """Whether a finished attempt should be swallowed and re-run."""
-        return (self.max_retries > 0
-                and attempt < self.max_retries
-                and is_retryable(result))
+    def _retry(self, job: AnalysisJob, result: JobResult,
+               attempt: int) -> bool:
+        """Whether a finished attempt is swallowed and run again — the
+        one retry policy of the inline loop and the worker pool.
 
-    def _note_retry(self, job: AnalysisJob, result: JobResult,
-                    attempt: int) -> None:
-        """Account one swallowed transient failure.
-
-        The discarded attempt never reaches :meth:`_finish` /
+        A retried attempt never reaches :meth:`_finish` /
         :meth:`_account`, so error counters and ``on_result`` records
         stay identical to a fault-free run — only ``stats.retries``
         (volatile, like timings) says anything happened.  Its worker
         metrics delta is still folded in: the attempt really executed.
         """
+        if attempt >= self.max_retries or not is_retryable(result):
+            return False
         if result.metrics:
             get_registry().merge(result.metrics)
             result.metrics = {}
@@ -363,17 +361,17 @@ class ParallelExecutor:
             result.error_type or result.status,
             attempt + 1, self.max_retries, result.message,
         )
+        return True
 
     def _execute_with_retry(self, job: AnalysisJob) -> JobResult:
         """Inline (``jobs == 1``) execution with the retry loop."""
         attempt = 0
-        while True:
-            result = execute_job(job, self.timeout, attempt=attempt)
-            if not self._should_retry(result, attempt):
-                result.attempts = attempt
-                return result
-            self._note_retry(job, result, attempt)
+        result = execute_job(job, self.timeout)
+        while self._retry(job, result, attempt):
             attempt += 1
+            result = execute_job(job, self.timeout, attempt=attempt)
+        result.attempts = attempt
+        return result
 
     # -- execution ---------------------------------------------------------
 
@@ -410,7 +408,7 @@ class ParallelExecutor:
         pool = self._ensure_pool()
         waiting = {}
         for order, (index, job) in enumerate(pending):
-            task = pool.submit(job, timeout=self.timeout, priority=(0, order))
+            task = pool.submit(job, priority=(0, order))
             waiting[task.id] = (index, job)
         while waiting:
             completed = pool.wait()
@@ -429,64 +427,34 @@ class ParallelExecutor:
                 return
             for task in completed:
                 entry = waiting.pop(task.id, None)
-                if entry is None:
-                    continue
-                index, job = entry
-                if self._should_retry(task.result, task.attempt):
-                    self._note_retry(job, task.result, task.attempt)
-                    retry = pool.submit(job, timeout=self.timeout,
-                                        priority=task.priority,
-                                        attempt=task.attempt + 1)
-                    waiting[retry.id] = (index, job)
-                    continue
-                task.result.attempts = task.attempt
-                results[index] = self._finish(job, task.result)
+                if entry is not None:
+                    results[entry[0]] = self._finish(task.job, task.result)
 
     # -- asynchronous single-job submission --------------------------------
 
     def submit_job(self, job: AnalysisJob, on_done,
-                   priority: tuple = ()) -> "_Submission | None":
+                   priority: tuple = ()) -> Task | None:
         """Submit one job for callback-style completion (the serving
         front-end's entry point).
 
         A cache hit completes synchronously: ``on_done(result)`` is
         called before this method returns and the return value is
         ``None``.  Otherwise the job goes to the long-lived worker pool
-        and the returned handle completes through :meth:`poll` —
+        and the returned task completes through :meth:`poll` —
         ``on_done`` then fires on the polling thread with the finished
-        (cached + accounted) result, or before this returns when no
-        worker could be started for any attempt.  The handle can be
-        withdrawn with :meth:`cancel_task`; it stays valid across
-        executor-internal retries (the wrapper tracks whichever pool
-        task is live).
+        (cached + accounted) result of the final attempt, or before
+        this returns when no worker could be started for any attempt.
+        The task can be withdrawn with :meth:`cancel_task`.
         """
         self.stats.submitted += 1
         hit = self._lookup(job)
         if hit is not None:
             on_done(self._use_hit(hit))
             return None
-        pool = self._ensure_pool()
-        submission = _Submission()
-
-        def _complete(task, job=job, on_done=on_done):
-            if self._should_retry(task.result, task.attempt):
-                self._note_retry(job, task.result, task.attempt)
-                submission.task = pool.submit(
-                    job, timeout=self.timeout, priority=task.priority,
-                    on_done=_complete, attempt=task.attempt + 1,
-                )
-                return
-            task.result.attempts = task.attempt
-            on_done(self._finish(job, task.result))
-
-        # Hold the handle before dispatching: a task no worker can be
-        # started for completes inside flush(), and its retry must
-        # replace it here rather than be overwritten by it.
-        submission.task = pool.submit(job, timeout=self.timeout,
-                                      priority=priority, on_done=_complete,
-                                      dispatch=False)
-        pool.flush()
-        return submission
+        return self._ensure_pool().submit(
+            job, priority=priority,
+            on_done=lambda task: on_done(self._finish(job, task.result)),
+        )
 
     def poll(self, wake) -> int:
         """Drive the pool until a task completes or ``wake`` becomes
@@ -495,27 +463,16 @@ class ParallelExecutor:
         waits on ``wake`` alone (see :meth:`WorkerPool.wait`)."""
         return len(self._ensure_pool().wait(wake))
 
-    def cancel_task(self, handle) -> bool:
-        """Withdraw a :meth:`submit_job` handle (or a bare pool task).
+    def cancel_task(self, task: Task) -> bool:
+        """Withdraw a :meth:`submit_job` task.
 
         ``True`` means the job will never produce a result (its
         ``on_done`` never fires) and a cancellation was accounted.
         ``False`` means it completed in the race — its result was
-        drained and ``on_done`` has already fired (possibly after a
-        drained retry ran to completion).
+        drained and ``on_done`` has already fired.
         """
-        if self._pool is None:
+        if self._pool is None or not self._pool.cancel(task):
             return False
-        task = getattr(handle, "task", handle)
-        while not self._pool.cancel(task):
-            live = getattr(handle, "task", handle)
-            if live is task:
-                # Genuinely completed: the drain fired ``on_done``.
-                return False
-            # The drained completion was a transient failure and
-            # ``_complete`` resubmitted a retry mid-cancel — chase the
-            # now-live task so the withdrawn job really stops.
-            task = live
         self.stats.cancelled += 1
         return True
 
@@ -533,25 +490,21 @@ class ParallelExecutor:
         return self.run_escalating_many([jobs])[0]
 
     def run_escalating_many(self, ladders: list[list[AnalysisJob]],
-                            max_inflight: int | None = None,
                             ) -> list[list[JobResult]]:
         """Run many escalation ladders, overlapping them on one pool.
 
         The cross-pair scheduler of ``first``-mode portfolio batches:
-        up to ``max_inflight`` ladders (``None`` = auto from the pool
-        size) are in flight at once on the executor's long-lived
-        worker pool, so pair B's cheap first rung runs while pair A's
-        expensive late rung is still solving.  Per-ladder selection is
-        the same as :meth:`run_escalating` — chosen rungs are
-        byte-identical to a ``jobs == 1`` run.
+        several ladders (``max(2, pool size)``) are in flight at once on
+        the executor's long-lived worker pool, so pair B's cheap first
+        rung runs while pair A's expensive late rung is still solving.
+        Per-ladder selection is the same as :meth:`run_escalating` —
+        chosen rungs are byte-identical to a ``jobs == 1`` run.
         """
         start = time.perf_counter()
         if self.jobs == 1:
             results = [self._escalate_inline(jobs) for jobs in ladders]
         else:
-            scheduler = EscalationScheduler(
-                self, self._ensure_pool(), max_inflight
-            )
+            scheduler = EscalationScheduler(self, self._ensure_pool())
             results = scheduler.run(ladders)
         self.stats.seconds += time.perf_counter() - start
         return results
@@ -587,16 +540,3 @@ class ParallelExecutor:
             message="a lower portfolio rung already succeeded",
         )
 
-
-class _Submission:
-    """Handle returned by :meth:`ParallelExecutor.submit_job`.
-
-    ``task`` is whichever pool :class:`Task` currently carries the job;
-    executor-internal retries swap it, so cancellation always targets
-    the live attempt instead of a dead one.  Opaque to callers.
-    """
-
-    __slots__ = ("task",)
-
-    def __init__(self, task: Task | None = None):
-        self.task = task

@@ -19,13 +19,14 @@ Two selection modes:
 
 An optional **refutation stage** (``refute=True`` /
 ``EngineConfig.refute``) follows selection: for every pair that won a
-threshold ``T``, a ``refute`` job probes the candidate ``T - margin``
-with the winning rung's template shape and the exact backend.  A
-refuted probe certifies the threshold tight to within ``margin``
-(Theorem 4.3); an unknown probe flags slack worth escalating for.  The
-probe solves one LP per witness over one shared constraint system —
-exactly the shape `~repro.lp.dual.IncrementalLP` re-solves from a
-single factorized basis, which is what keeps this stage affordable.
+threshold ``T``, a ``refute`` job probes the candidate ``T - 1``
+(:data:`REFUTE_MARGIN`) with the winning rung's template shape and the
+exact backend.  A refuted probe certifies the threshold tight to within
+the margin (Theorem 4.3); an unknown probe flags slack worth escalating
+for.  The probe solves one LP per witness over one shared constraint
+system — exactly the shape `~repro.lp.dual.IncrementalLP` re-solves
+from a single factorized basis, which is what keeps this stage
+affordable.
 """
 
 from __future__ import annotations
@@ -192,19 +193,22 @@ def portfolio_jobs(old_source: str, new_source: str, name: str,
 #: warm-started rung is the fastest exact solver.
 REFUTE_BACKEND = "exact-warm"
 
+#: Slack of the tightness probe: a refuted ``T - 1`` certifies an
+#: integer-cost program's threshold ``T`` exactly tight.
+REFUTE_MARGIN = 1.0
+
 
 def refutation_job(old_source: str, new_source: str, name: str,
                    chosen: JobResult,
-                   base: AnalysisConfig | None = None,
-                   margin: float = 1.0) -> AnalysisJob | None:
+                   base: AnalysisConfig | None = None) -> AnalysisJob | None:
     """The tightness probe for a pair whose portfolio chose ``chosen``.
 
-    Probes the candidate ``threshold - margin`` with the winning rung's
-    template shape (degree / max products) and the exact backend, so a
-    ``refuted`` outcome certifies no smaller threshold exists within
-    ``margin`` — for integer-cost programs, ``margin=1`` means the
-    computed threshold is exactly tight.  Returns ``None`` when the
-    rung carries no threshold to probe.
+    Probes the candidate ``threshold - REFUTE_MARGIN`` with the winning
+    rung's template shape (degree / max products) and the exact
+    backend, so a ``refuted`` outcome certifies no smaller threshold
+    exists within the margin — for integer-cost programs, the computed
+    threshold is exactly tight.  Returns ``None`` when the rung carries
+    no threshold to probe.
     """
     exact = chosen.exact_threshold()
     if exact is None:
@@ -221,15 +225,14 @@ def refutation_job(old_source: str, new_source: str, name: str,
         new_source=new_source,
         config=config,
         name=f"{name}[refute]",
-        candidate=float(exact) - margin,
+        candidate=float(exact) - REFUTE_MARGIN,
     )
 
 
 def attach_refutations(portfolios: list[PortfolioResult],
                        sources: dict[str, tuple[str, str]],
                        executor: ParallelExecutor,
-                       base: AnalysisConfig | None = None,
-                       margin: float = 1.0) -> None:
+                       base: AnalysisConfig | None = None) -> None:
     """Run the refutation stage for every succeeded portfolio in one
     executor wave (cache-aware) and attach the probe results."""
     jobs, owners = [], []
@@ -238,7 +241,7 @@ def attach_refutations(portfolios: list[PortfolioResult],
             continue
         old_source, new_source = sources[portfolio.name]
         job = refutation_job(old_source, new_source, portfolio.name,
-                             portfolio.chosen, base, margin)
+                             portfolio.chosen, base)
         if job is not None:
             jobs.append(job)
             owners.append(portfolio)
@@ -254,7 +257,7 @@ def run_portfolio(old_source: str, new_source: str, name: str,
                   base: AnalysisConfig | None = None,
                   ladder: tuple[tuple[int, int, str], ...] = DEFAULT_LADDER,
                   mode: str = "first", refute: bool = False,
-                  refute_margin: float = 1.0) -> PortfolioResult:
+                  ) -> PortfolioResult:
     """Race one pair through the ladder on ``executor``."""
     jobs = portfolio_jobs(old_source, new_source, name, base, ladder)
     if mode == "first":
@@ -269,8 +272,7 @@ def run_portfolio(old_source: str, new_source: str, name: str,
     )
     if refute:
         attach_refutations(
-            [portfolio], {name: (old_source, new_source)}, executor,
-            base, refute_margin,
+            [portfolio], {name: (old_source, new_source)}, executor, base,
         )
     record_portfolio_metrics([portfolio])
     return portfolio

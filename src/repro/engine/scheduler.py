@@ -9,7 +9,9 @@ Two pieces:
   *task*, so cancelling one abandoned portfolio rung terminates exactly
   that rung's worker and leaves the rest of the pool running.  This is
   what lets ``first``-mode portfolios share one pool across pairs
-  instead of rebuilding a pool per pair.
+  instead of rebuilding a pool per pair.  The pool also owns the retry
+  path: a transiently failed attempt goes back to the queue as the
+  same task, so everything above the pool sees final attempts only.
 - :class:`EscalationScheduler` — an event-driven completion loop that
   overlaps the escalation ladders of many pairs on one pool: while pair
   A's ``d2K2`` rung is solving, pair B's ``d1K1`` rung runs.  Selection
@@ -60,35 +62,35 @@ class Task:
 
     ``state`` transitions only inside the pool's (single-threaded)
     bookkeeping, so callers can read it without racing a worker: a task
-    seen as ``DONE`` has its ``result`` populated.
+    seen as ``DONE`` has its ``result`` populated.  A transient failure
+    the pool's ``retry`` hook accepts sends the task back to
+    ``PENDING`` with ``attempt + 1`` instead: callers only ever see a
+    job's final attempt.
 
     ``on_done`` is the pool's async-safe completion hook: it fires with
-    the task exactly once, on every path that produces a result (a
-    normal completion, a worker death, a worker that could not be
+    the task exactly once, on every path that produces a final result
+    (a normal completion, a worker death, a worker that could not be
     started, or the drain inside a lost cancel race) — never for a
     genuinely cancelled task — and always on the thread driving the
     pool.  Callers bridging into an event loop wrap it in
     ``loop.call_soon_threadsafe``.
     """
 
-    __slots__ = ("id", "job", "timeout", "priority", "state", "result",
-                 "worker", "on_done", "attempt")
+    __slots__ = ("id", "job", "priority", "state", "result", "worker",
+                 "on_done", "attempt")
 
-    def __init__(self, task_id: int, job: AnalysisJob,
-                 timeout: float | None, priority: tuple,
-                 on_done=None, attempt: int = 0):
+    def __init__(self, task_id: int, job: AnalysisJob, priority: tuple,
+                 on_done=None):
         self.id = task_id
         self.job = job
-        self.timeout = timeout
         self.priority = priority
         self.state = PENDING
         self.result: JobResult | None = None
         self.worker: _Worker | None = None
         self.on_done = on_done
-        #: Which retry of the job this task is (0 = first execution).
-        #: Owned by the executor's retry layer; the pool just threads
-        #: it to the worker so fault injection and backoff see it.
-        self.attempt = attempt
+        #: Which execution of the job is queued, running or final
+        #: (0 = first); fault injection and backoff see it.
+        self.attempt = 0
 
 
 def _scrub_inherited_fds(keep: set[int]) -> None:
@@ -247,6 +249,13 @@ def _terminate_workers(workers: list) -> None:
             worker.process.terminate()
 
 
+def _error(task: Task, error_type: str, message: str) -> JobResult:
+    """A structured ``"error"`` result for an attempt the pool ended."""
+    return JobResult(job_key=task.job.key, name=task.job.name,
+                     kind=task.job.kind, status="error",
+                     error_type=error_type, message=message)
+
+
 class WorkerPool:
     """A long-lived pool of analysis workers with per-task tracking.
 
@@ -256,14 +265,20 @@ class WorkerPool:
     on a running task terminates exactly that worker; everyone else
     keeps solving.
 
+    ``timeout`` is every job's wall-clock budget, enforced inside the
+    worker.  ``retry(job, result, attempt) -> bool`` (optional) is
+    asked about every finished attempt: when it says yes, the same
+    task goes back to the queue with ``attempt + 1`` — same id, same
+    priority, so it keeps its place — instead of completing.
+
     All bookkeeping happens in the caller's thread (``submit`` /
     ``wait`` / ``cancel``); the pool is not itself thread-safe, which
     is fine for the executor's single-threaded event loops.
     """
 
-    def __init__(self, size: int, heartbeat: float = 1.0,
+    def __init__(self, size: int, *, timeout: float | None = None,
                  hang_timeout: float | None = None,
-                 quarantine_after: int = 3):
+                 quarantine_after: int = 3, retry=None):
         if size < 1:
             raise AnalysisError("worker pool size must be at least 1")
         if hang_timeout is not None and hang_timeout <= 0:
@@ -271,14 +286,16 @@ class WorkerPool:
         if quarantine_after < 1:
             raise AnalysisError("quarantine_after must be at least 1")
         self.size = size
+        self.timeout = timeout
+        self.retry = retry
         #: Heartbeat period of workers; with hang detection on, clamped
         #: so several beats fit inside one hang window (a single missed
         #: scheduling quantum must not read as a wedge).
-        self.heartbeat = heartbeat
+        self.heartbeat = 1.0
         if hang_timeout is not None:
-            self.heartbeat = min(heartbeat, max(hang_timeout / 4, 0.02))
+            self.heartbeat = min(1.0, max(hang_timeout / 4, 0.02))
         #: Kill a worker whose running task saw no heartbeat for this
-        #: long (``None`` = hang detection off); the task completes with
+        #: long (``None`` = hang detection off); the attempt ends with
         #: a structured ``WorkerHung`` error.
         self.hang_timeout = hang_timeout
         #: After this many *consecutive* worker crashes, park one worker
@@ -312,9 +329,8 @@ class WorkerPool:
 
     # -- submission and dispatch -------------------------------------------
 
-    def submit(self, job: AnalysisJob, timeout: float | None = None,
-               priority: tuple = (), dispatch: bool = True,
-               on_done=None, attempt: int = 0) -> Task:
+    def submit(self, job: AnalysisJob, priority: tuple = (),
+               dispatch: bool = True, on_done=None) -> Task:
         """Queue ``job``; lower ``priority`` tuples dispatch first.
 
         ``dispatch=False`` only queues: a caller submitting a related
@@ -324,15 +340,12 @@ class WorkerPool:
 
         ``on_done`` (optional) is invoked with the task when it
         completes — see :class:`Task`; if no worker can be started for
-        it, that happens before this returns.  ``attempt`` is the retry
-        ordinal the executor assigns when resubmitting a transiently
-        failed job.
+        it, that happens before this returns.
         """
         if self.closed:
             raise AnalysisError("worker pool is closed")
-        task = Task(next(self._sequence), job, timeout, priority, on_done,
-                    attempt=attempt)
-        heapq.heappush(self._queue, (task.priority, task.id, task))
+        task = Task(next(self._sequence), job, priority, on_done)
+        self._enqueue(task)
         if dispatch:
             self._dispatch()
         return task
@@ -341,44 +354,48 @@ class WorkerPool:
         """Dispatch queued tasks to every idle (or spawnable) worker."""
         self._dispatch()
 
+    def _enqueue(self, task: Task) -> None:
+        task.state = PENDING
+        task.worker = None
+        heapq.heappush(self._queue, (task.priority, task.id, task))
+
     def _dispatch(self) -> list[Task]:
         """Hand queued tasks to idle (or spawnable) workers; returns the
-        tasks that failed because no worker could be started."""
-        failed: list[Task] = []
+        tasks that completed because no worker could be started."""
+        completed: list[Task] = []
         while True:
             task = self._pop_pending()
             if task is None:
-                return failed
+                return completed
             try:
                 worker = self._acquire_worker()
             except OSError as error:
-                # Descriptors or processes ran out.  The task fails as
-                # if its worker had died, instead of vanishing with the
-                # exception: the retry layer sees a transient failure.
+                # Descriptors or processes ran out.  The attempt fails
+                # as if its worker had died, instead of vanishing with
+                # the exception: the retry hook sees a transient failure.
                 _LOG.error("could not start a worker for %s: %s",
                            task.job.name or "a job", error)
-                self._fail(task, type(error).__name__, str(error))
-                failed.append(task)
+                if self._finish(task, _error(task, type(error).__name__,
+                                             str(error))):
+                    completed.append(task)
                 continue
             if worker is None:
-                heapq.heappush(self._queue, (task.priority, task.id, task))
-                return failed
+                self._enqueue(task)
+                return completed
             task.state = RUNNING
             task.worker = worker
             worker.task = task
             worker.last_beat = time.monotonic()
             try:
-                worker.conn.send((task.id, task.job.to_dict(), task.timeout,
+                worker.conn.send((task.id, task.job.to_dict(), self.timeout,
                                   task.attempt))
             except (BrokenPipeError, OSError):
                 # The worker died while idle.  Requeue the task and
                 # retire the corpse; the next loop turn acquires (or
                 # spawns) a replacement.  A fresh worker's send always
                 # lands in the pipe buffer, so this cannot spin.
-                task.state = PENDING
-                task.worker = None
                 self._retire(worker)
-                heapq.heappush(self._queue, (task.priority, task.id, task))
+                self._enqueue(task)
 
     def _pop_pending(self) -> Task | None:
         while self._queue:
@@ -430,12 +447,13 @@ class WorkerPool:
         there is nothing to wait for, so it returns at once.
 
         Returns the newly completed tasks: empty when ``wake`` ended the
-        wait or nothing ran.  Queued tasks are dispatched to any workers
-        this frees; a task no worker could be started for completes with
-        a structured error.  Heartbeat messages are drained
-        transparently; with :attr:`hang_timeout` set, workers whose
-        running task stopped heartbeating are killed here and their
-        tasks complete with structured ``WorkerHung`` errors.
+        wait or nothing ran.  Queued tasks — re-queued retries among
+        them — are dispatched to any workers this frees; a task no
+        worker could be started for completes with a structured error.
+        Heartbeat messages are drained transparently; with
+        :attr:`hang_timeout` set, workers whose running task stopped
+        heartbeating are killed here and their attempts end with
+        structured ``WorkerHung`` errors.
         """
         completed = self._dispatch()
         while not completed:
@@ -457,9 +475,10 @@ class WorkerPool:
                 if self._receive(worker) and task is not None:
                     completed.append(task)
             completed.extend(self._reap_hung())
-            if completed:
-                completed.extend(self._dispatch())
-            elif wake in ready:
+            # Every turn, not only after a completion: a re-queued
+            # attempt needs a worker even when nothing completed.
+            completed.extend(self._dispatch())
+            if wake in ready:
                 break
             # Otherwise only heartbeats (or a hang-check tick) arrived:
             # keep waiting for a real completion.
@@ -469,7 +488,7 @@ class WorkerPool:
         """Read one message from ``worker``; True iff a task completed.
 
         A dead pipe means the worker died mid-task (hard crash, OOM
-        kill): the task completes with a structured ``"error"`` result
+        kill): the attempt ends with a structured ``"error"`` result
         and the worker is retired — one poisoned job cannot take down
         the batch.
         """
@@ -486,19 +505,36 @@ class WorkerPool:
             if task is None:
                 return False
             self._note_crash("crashed")
-            self._fail(task, "BrokenWorker",
-                       f"worker died (exit code {exitcode})")
-            return True
+            return self._finish(task, _error(
+                task, "BrokenWorker", f"worker died (exit code {exitcode})"
+            ))
         if task_id == _HEARTBEAT[0]:
             worker.last_beat = time.monotonic()
             return False
         assert task is not None and task_id == task.id
         self._crash_streak = 0
-        task.state = DONE
-        task.worker = None
-        task.result = JobResult.from_dict(payload)
         worker.task = None
         self._idle.append(worker)
+        return self._finish(task, JobResult.from_dict(payload))
+
+    def _finish(self, task: Task, result: JobResult) -> bool:
+        """End the running attempt of ``task``; True iff it completed.
+
+        The one way a task finishes, whatever ended the attempt.  When
+        the ``retry`` hook accepts ``result``, the task goes back to
+        the queue with ``attempt + 1`` and nobody hears of this
+        attempt; otherwise ``result`` (stamped with its attempt) is
+        final and ``on_done`` fires.
+        """
+        if self.retry is not None and self.retry(task.job, result,
+                                                 task.attempt):
+            task.attempt += 1
+            self._enqueue(task)
+            return False
+        result.attempts = task.attempt
+        task.state = DONE
+        task.worker = None
+        task.result = result
         if task.on_done is not None:
             task.on_done(task)
         return True
@@ -535,8 +571,9 @@ class WorkerPool:
 
     def _reap_hung(self) -> list[Task]:
         """Kill workers whose running task stopped heartbeating; their
-        tasks complete with structured ``WorkerHung`` errors (which the
-        executor's retry classification treats as transient)."""
+        attempts end with structured ``WorkerHung`` errors (which the
+        executor's retry hook treats as transient).  Returns the tasks
+        that completed."""
         if self.hang_timeout is None:
             return []
         now = time.monotonic()
@@ -555,27 +592,13 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(0.5)
             self._note_crash("hung")
-            self._fail(task, "WorkerHung",
-                       f"worker sent no heartbeat for {silence:.1f}s "
-                       f"(hang budget {self.hang_timeout:g}s)")
-            completed.append(task)
+            if self._finish(task, _error(
+                task, "WorkerHung",
+                f"worker sent no heartbeat for {silence:.1f}s "
+                f"(hang budget {self.hang_timeout:g}s)",
+            )):
+                completed.append(task)
         return completed
-
-    @staticmethod
-    def _fail(task: Task, error_type: str, message: str) -> None:
-        """Complete ``task`` with a structured ``"error"`` result."""
-        task.state = DONE
-        task.worker = None
-        task.result = JobResult(
-            job_key=task.job.key,
-            name=task.job.name,
-            kind=task.job.kind,
-            status="error",
-            error_type=error_type,
-            message=message,
-        )
-        if task.on_done is not None:
-            task.on_done(task)
 
     def health(self) -> dict:
         """Point-in-time supervision snapshot (the ``/healthz`` block)."""
@@ -618,28 +641,25 @@ class WorkerPool:
         the caller's decision and this call, in which case its result
         is drained and the worker survives (returns False) — killing a
         worker whose rung already completed is the cancel/done race
-        this check closes.  Only a task still genuinely running gets
-        its worker (and exactly its worker) terminated.  Done tasks
-        are left alone.
+        this check closes.  A drained transient failure that sent the
+        task back to the queue is dropped there.  Only a task still
+        genuinely running gets its worker (and exactly its worker)
+        terminated.  Done tasks are left alone.
         """
-        if task.state == PENDING:
-            task.state = DROPPED
-            return True
         if task.state == RUNNING:
             worker = task.worker
             # Drain everything already in the pipe — heartbeats ride
             # ahead of results, so one poll()+receive is not enough to
             # rule out a completion racing the cancel.
-            while worker.conn.poll():
-                if self._receive(worker):
-                    return False
-                if task.state != RUNNING:
-                    # _receive retired a dead worker and completed the
-                    # task.
-                    return False
+            while task.state == RUNNING and worker.conn.poll():
+                self._receive(worker)
+            if task.state == RUNNING:
+                task.state = DROPPED
+                task.worker = None
+                self._kill(worker)
+                return True
+        if task.state == PENDING:
             task.state = DROPPED
-            task.worker = None
-            self._kill(worker)
             return True
         return False
 
@@ -742,28 +762,23 @@ class EscalationScheduler:
     """Overlap the escalation ladders of many pairs on one pool.
 
     The event-driven core of ``first``-mode portfolio batches: all
-    rungs of up to ``max_inflight`` pairs are in flight at once, each
-    completion advances exactly the affected pair's ladder, and a
-    pair's decision immediately cancels its abandoned rungs and admits
-    the next waiting pair.  Completed loser rungs are harvested into
-    the result cache before being dropped from selection — paid-for
-    work a later ``best``-mode run can replay for free.
+    rungs of up to ``max(2, pool.size)`` pairs are in flight at once —
+    enough to keep every worker busy even when each pair is down to its
+    last undecided rung, without flooding the queue with rungs that
+    would sit for minutes.  Each completion advances exactly the
+    affected pair's ladder, and a pair's decision immediately cancels
+    its abandoned rungs and admits the next waiting pair.  Completed
+    loser rungs are harvested into the result cache before being
+    dropped from selection — paid-for work a later ``best``-mode run
+    can replay for free.  Transient failures never reach selection: the
+    pool re-runs them, so a rung's verdict is its final attempt.
     """
 
-    def __init__(self, executor, pool: WorkerPool,
-                 max_inflight: int | None = None):
-        if max_inflight is not None and max_inflight < 1:
-            raise AnalysisError(
-                "max_inflight must be at least 1 (or None for auto)"
-            )
+    def __init__(self, executor, pool: WorkerPool):
         self.executor = executor
         self.pool = pool
-        # Auto: enough pairs to keep every worker busy even when each
-        # pair is down to its last undecided rung, without flooding the
-        # queue with rungs that will sit for minutes.
-        self.max_inflight = max_inflight or max(2, pool.size)
-        # task.id → owning ladder; instance state so `_resolve` can
-        # register retry resubmissions.
+        self.max_inflight = max(2, pool.size)
+        #: task.id → owning ladder, filled by `_activate`.
         self._owners: dict[int, _LadderState] = {}
 
     def run(self, ladders: list[list[AnalysisJob]]) -> list[list[JobResult]]:
@@ -838,10 +853,8 @@ class EscalationScheduler:
                 state.entries[rung] = (_LadderState.HIT, hit)
                 cached_success = hit.succeeded
             else:
-                task = self.pool.submit(
-                    job, timeout=executor.timeout,
-                    priority=(rung, state.index), dispatch=False,
-                )
+                task = self.pool.submit(job, priority=(rung, state.index),
+                                        dispatch=False)
                 self._owners[task.id] = state
                 state.entries[rung] = (_LadderState.TASK, task)
 
@@ -856,27 +869,11 @@ class EscalationScheduler:
             if kind == _LadderState.TASK and payload.state != DONE:
                 return
             job = state.jobs[state.cursor]
-            if (kind == _LadderState.TASK
-                    and executor._should_retry(payload.result,
-                                               payload.attempt)):
-                # A transiently failed rung is re-raced instead of
-                # judged: selection sees only the final attempt, which
-                # keeps chosen rungs identical to a fault-free run.
-                executor._note_retry(job, payload.result, payload.attempt)
-                retry = self.pool.submit(
-                    job, timeout=executor.timeout,
-                    priority=payload.priority,
-                    attempt=payload.attempt + 1,
-                )
-                self._owners[retry.id] = state
-                state.entries[state.cursor] = (_LadderState.TASK, retry)
-                return
             if kind == _LadderState.HIT:
                 result = executor._use_hit(payload)
             elif kind == _LadderState.SKIP:
                 result = executor._account(executor._cancelled(job))
             else:
-                payload.result.attempts = payload.attempt
                 result = executor._finish(job, payload.result)
             state.results[state.cursor] = result
             state.cursor += 1

@@ -22,7 +22,6 @@ from repro.engine import (
     run_batch,
     select_result,
 )
-from repro.engine.scheduler import EscalationScheduler
 from repro.errors import AnalysisError
 from repro.faults import FaultPlan, set_plan
 
@@ -213,6 +212,47 @@ class TestWorkerPool:
                 pool.wait()
             assert again.result.threshold == 10.0
 
+    def test_retry_hook_requeues_the_same_task(self):
+        asked = []
+
+        def retry(job, result, attempt):
+            asked.append((job.name, result.error_type, attempt))
+            return attempt < 1
+
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "job.error", "name": "flaky", "max_attempts": 1}]}))
+        try:
+            with WorkerPool(1, retry=retry) as pool:
+                task = pool.submit(count_job(name="flaky"))
+                assert pool.wait() == [task]
+        finally:
+            set_plan(None)
+        assert asked == [("flaky", "InjectedFaultError", 0),
+                         ("flaky", None, 1)]
+        assert (task.attempt, task.result.attempts) == (1, 1)
+        assert task.result.threshold == 10.0
+
+    def test_cancel_drops_a_retry_its_drain_requeued(self):
+        # The worker dies on the first attempt; the cancel drains the
+        # dead pipe, whose failure sends the task back to the queue,
+        # and drops it there — no worker left to kill, no result.
+        fired = []
+        set_plan(FaultPlan.from_dict({"seed": 1, "rules": [
+            {"site": "worker.crash", "name": "crashy", "max_attempts": 1}]}))
+        try:
+            with WorkerPool(1, retry=lambda job, result, attempt: True) \
+                    as pool:
+                task = pool.submit(count_job(name="crashy"),
+                                   on_done=fired.append)
+                pool._workers[0].process.join(10)
+                assert pool.cancel(task) is True
+                assert (task.state, task.attempt) == ("dropped", 1)
+                assert (pool.crashed, pool.terminated) == (1, 0)
+                assert pool.wait() == []
+        finally:
+            set_plan(None)
+        assert fired == [] and task.result is None
+
     def test_closed_pool_rejects_submissions(self):
         pool = WorkerPool(1)
         pool.shutdown()
@@ -373,14 +413,6 @@ class TestEscalationScheduler:
         assert parallel[0][0].attempts == 1
         assert parallel[0][0].threshold == 10.0
 
-    def test_max_inflight_validation(self):
-        with ParallelExecutor(jobs=2) as executor:
-            with pytest.raises(AnalysisError):
-                EscalationScheduler(executor, executor._ensure_pool(),
-                                    max_inflight=0)
-        with pytest.raises(AnalysisError):
-            EngineConfig(max_inflight_pairs=0)
-
     def test_rungs_of_distinct_pairs_run_concurrently(self, monkeypatch):
         # The point of the scheduler: while one pair's ladder is still
         # solving, another pair's rungs are already on workers.  Spy on
@@ -484,10 +516,11 @@ class TestFirstModeDeterminism:
         assert len(report.portfolios) == 3
 
     def test_max_inflight_does_not_change_selection(self, mixed_dir):
+        # Two workers admit max(2, 2) = 2 of the three pairs at once:
+        # the third waits for a decision, and selection does not move.
         capped = run_batch(
             mixed_dir, config=FAST,
-            engine=EngineConfig(jobs=4, portfolio=True,
-                                max_inflight_pairs=1),
+            engine=EngineConfig(jobs=2, portfolio=True),
             ladder=LADDER2,
         )
         assert capped.ok
@@ -499,8 +532,7 @@ class TestFirstModeDeterminism:
         from repro.cli import main
 
         code = main(["batch", str(mixed_dir), "-d", "1", "-K", "1",
-                     "--portfolio", "--jobs", "2",
-                     "--max-inflight-pairs", "2", "--no-cache"])
+                     "--portfolio", "--jobs", "2", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 0
         assert "alpha" in out and "quad" in out
