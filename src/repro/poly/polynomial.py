@@ -22,7 +22,7 @@ class Polynomial:
     >>> x = Polynomial.variable("x")
     >>> y = Polynomial.variable("y")
     >>> str((x + y) * (x - y))
-    'x^2 - y^2'
+    '-y^2 + x^2'
     """
 
     __slots__ = ("_terms", "_hash")

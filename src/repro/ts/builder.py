@@ -30,8 +30,12 @@ class TransitionSystemBuilder:
 
     >>> b = TransitionSystemBuilder("demo", ["x"])
     >>> l0, lout = b.location("l0"), b.location("l_out")
-    >>> b.transition(l0, lout, cost=Polynomial.variable("x"))
+    >>> t = b.transition(l0, lout, cost=Polynomial.variable("x"))
+    >>> t.updates["cost"]
+    Polynomial('x + cost')
     >>> ts = b.build(initial="l0", terminal="l_out")
+    >>> len(ts.transitions)
+    1
     """
 
     def __init__(self, name: str, variables: Iterable[str]):
