@@ -430,8 +430,8 @@ def run_cluster_batch(directory: str, config: AnalysisConfig,
         **dispatch.stats,
     }
     _LOG.info("cluster batch done in %.2fs: %d/%d pair(s), %d steal(s), "
-              "%d reassignment(s), %d duplicate(s)", seconds,
+              "%d reassignment(s), %d requeue(s), %d duplicate(s)", seconds,
               len(pairs) - len(failed) - len(unresolved), len(pairs),
               dispatch.stats["steals"], dispatch.stats["reassigned"],
-              dispatch.stats["requeues"] and dispatch.stats["duplicates"])
+              dispatch.stats["requeues"], dispatch.stats["duplicates"])
     return merged, cluster

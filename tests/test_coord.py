@@ -20,6 +20,7 @@ separate-process ``kill -9`` variant.
 import asyncio
 import http.server
 import json
+import logging
 import random
 import threading
 import time
@@ -504,6 +505,54 @@ class TestClusterBatch:
         with pytest.raises(AnalysisError, match="capacity floor"):
             ClusterDispatch([], FAST, registry,
                             ResilientClient(), coord)
+
+    def test_summary_line_logs_requeues_and_duplicates(self, tmp_path,
+                                                       caplog):
+        # A stub client in place of live nodes: the pair's first
+        # execution is refused (one requeue) and its second is held
+        # until the other node duplicates it (one duplicate).
+        class StubClient:
+            def __init__(self):
+                self.calls = 0
+                self.duplicated = threading.Event()
+                self.lock = threading.Lock()
+
+            def post(self, url, payload, **kwargs):
+                with self.lock:
+                    self.calls += 1
+                    call = self.calls
+                if call == 1:
+                    raise NodeUnreachable(f"{url} refused the connection")
+                if call == 2:
+                    self.duplicated.wait(10)
+                else:
+                    self.duplicated.set()
+                return 200, {"result": {
+                    "job_key": "k", "name": payload["name"],
+                    "kind": "diff", "status": "ok", "threshold": 8.0}}
+
+        _write_pairs(tmp_path / "batch", PAIRS[:1])
+        registry = NodeRegistry()
+        for url in ("127.0.0.1:1", "127.0.0.1:2"):
+            registry.register(url)
+        coord = CoordConfig(min_nodes=1, node_concurrency=1,
+                            steal_after=0.01)
+        logger = logging.getLogger("repro.coord.dispatch")
+        caplog.set_level(logging.INFO, logger=logger.name)
+        # Also attached directly: an earlier --log-level run may have
+        # stopped "repro" propagating to the root logger's capture.
+        logger.addHandler(caplog.handler)
+        try:
+            _merged, cluster = run_cluster_batch(
+                str(tmp_path / "batch"), FAST, registry, StubClient(),
+                coord)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert (cluster["requeues"], cluster["duplicates"]) == (1, 1)
+        summary = {record.getMessage() for record in caplog.records
+                   if "cluster batch done" in record.getMessage()}
+        assert len(summary) == 1
+        assert "1 requeue(s), 1 duplicate(s)" in summary.pop()
 
     def test_steal_counters_reach_the_metrics_registry(self, tmp_path):
         from repro.obs import get_registry
