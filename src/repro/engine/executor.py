@@ -31,6 +31,7 @@ from __future__ import annotations
 import signal
 import time
 import traceback as traceback_module
+import weakref
 from dataclasses import dataclass
 
 from repro.engine.cache import ResultCache
@@ -265,10 +266,17 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None or self._pool.closed:
+            # A weak hook: a bound method would make executor and pool a
+            # reference cycle, so an executor nobody closed would leave
+            # its workers to the cyclic garbage collector, which can
+            # reap them at any later point (inside another job's alarm
+            # budget, say) instead of when the last reference goes.
+            retry = weakref.WeakMethod(self._retry)
             self._pool = WorkerPool(
                 self.jobs, timeout=self.timeout,
                 hang_timeout=self.hang_timeout,
-                quarantine_after=self.quarantine_after, retry=self._retry,
+                quarantine_after=self.quarantine_after,
+                retry=lambda *attempt: retry()(*attempt),
             )
             self.pools_created += 1
         return self._pool
@@ -331,7 +339,7 @@ class ParallelExecutor:
             self.on_result(result)
         return result
 
-    # -- retries -----------------------------------------------------------
+    # -- retry classification ----------------------------------------------
 
     def _retry(self, job: AnalysisJob, result: JobResult,
                attempt: int) -> bool:
@@ -366,12 +374,12 @@ class ParallelExecutor:
     def _execute_with_retry(self, job: AnalysisJob) -> JobResult:
         """Inline (``jobs == 1``) execution with the retry loop."""
         attempt = 0
-        result = execute_job(job, self.timeout)
-        while self._retry(job, result, attempt):
-            attempt += 1
+        while True:
             result = execute_job(job, self.timeout, attempt=attempt)
-        result.attempts = attempt
-        return result
+            if not self._retry(job, result, attempt):
+                result.attempts = attempt
+                return result
+            attempt += 1
 
     # -- execution ---------------------------------------------------------
 
@@ -427,8 +435,10 @@ class ParallelExecutor:
                 return
             for task in completed:
                 entry = waiting.pop(task.id, None)
-                if entry is not None:
-                    results[entry[0]] = self._finish(task.job, task.result)
+                if entry is None:
+                    continue
+                index, job = entry
+                results[index] = self._finish(job, task.result)
 
     # -- asynchronous single-job submission --------------------------------
 

@@ -361,12 +361,12 @@ class WorkerPool:
 
     def _dispatch(self) -> list[Task]:
         """Hand queued tasks to idle (or spawnable) workers; returns the
-        tasks that completed because no worker could be started."""
-        completed: list[Task] = []
+        tasks that failed because no worker could be started."""
+        failed: list[Task] = []
         while True:
             task = self._pop_pending()
             if task is None:
-                return completed
+                return failed
             try:
                 worker = self._acquire_worker()
             except OSError as error:
@@ -377,11 +377,11 @@ class WorkerPool:
                            task.job.name or "a job", error)
                 if self._finish(task, _error(task, type(error).__name__,
                                              str(error))):
-                    completed.append(task)
+                    failed.append(task)
                 continue
             if worker is None:
                 self._enqueue(task)
-                return completed
+                return failed
             task.state = RUNNING
             task.worker = worker
             worker.task = task

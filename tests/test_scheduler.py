@@ -4,10 +4,12 @@ scheduler (`repro.engine.scheduler`)."""
 import asyncio
 import contextlib
 import errno
+import gc
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,21 @@ class TestWorkerPool:
     def test_size_validation(self):
         with pytest.raises(AnalysisError):
             WorkerPool(0)
+
+    def test_an_unclosed_executor_frees_its_pool_at_once(self):
+        # No reference cycle between executor and pool: dropping an
+        # executor nobody closed reclaims its workers right away, not
+        # whenever the cyclic collector next runs (possibly inside
+        # another job's alarm budget).
+        gc.disable()
+        try:
+            executor = ParallelExecutor(jobs=2)
+            assert executor.run([count_job()])[0].threshold == 10.0
+            pool = weakref.ref(executor.pool)
+            del executor
+            assert pool() is None
+        finally:
+            gc.enable()
 
 
 class TestWorkerSignals:
