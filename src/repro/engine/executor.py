@@ -276,7 +276,7 @@ class ParallelExecutor:
                 self.jobs, timeout=self.timeout,
                 hang_timeout=self.hang_timeout,
                 quarantine_after=self.quarantine_after,
-                retry=lambda *attempt: retry()(*attempt),
+                retry=lambda *args: retry()(*args),
             )
             self.pools_created += 1
         return self._pool
