@@ -187,8 +187,6 @@ class ClusterDispatch:
                                 "repro_coord_duplicates_total",
                                 "Straggler pairs duplicated onto a "
                                 "second node.")
-                    self._count("steals", "repro_coord_steals_total",
-                                "Pairs stolen from another node's shard.")
             if choice is None:
                 return None
             if choice.state == "pending":

@@ -549,6 +549,10 @@ class TestClusterBatch:
         finally:
             logger.removeHandler(caplog.handler)
         assert (cluster["requeues"], cluster["duplicates"]) == (1, 1)
+        # Each execution counts at most once: an own-shard claim, a
+        # steal, a reassignment or a duplicate.
+        assert (cluster["steals"] + cluster["reassigned"]
+                + cluster["duplicates"]) <= cluster["executions"]
         summary = {record.getMessage() for record in caplog.records
                    if "cluster batch done" in record.getMessage()}
         assert len(summary) == 1
