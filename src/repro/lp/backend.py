@@ -23,10 +23,12 @@ from repro.lp.solution import LPSolution
 #: change its answers, pivot sequences or certificates.  The value is
 #: part of every :class:`~repro.engine.jobs.AnalysisJob` cache key, so
 #: results produced by an old solver are never replayed as if produced
-#: by the new one.  Revision 3 is the LU/eta basis factorization, the
-#: dual simplex and the incremental refutation loop; revision 2 was the
-#: sparse revised-simplex core; the seed dense-only solver was 1.
-LP_SOLVER_REVISION = 3
+#: by the new one.  Revision 4 nominates HiGHS's own optimal basis to
+#: ``exact-warm`` (no Python crossover); revision 3 is the LU/eta basis
+#: factorization, the dual simplex and the incremental refutation loop;
+#: revision 2 was the sparse revised-simplex core; the seed dense-only
+#: solver was 1.
+LP_SOLVER_REVISION = 4
 
 
 class LPBackend(Protocol):

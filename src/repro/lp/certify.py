@@ -4,10 +4,11 @@ The solve ladder, in the style of iteratively-refined exact solvers
 (QSopt_ex, SoPlex):
 
 1. **Float stage** — solve the standard-form LP in floating point
-   with scipy's HiGHS.  HiGHS's vertex, reduced costs and row duals
-   are crossed over to a basis that is primal and dual feasible up to
-   float noise (:func:`_crossover_basis`).  Float answers are never
-   trusted; they only nominate a candidate basis.
+   with the HiGHS bindings scipy bundles, and nominate the optimal
+   basis HiGHS ends at: its basic columns, plus the artificial
+   ``n + i`` of each row whose slack it keeps basic
+   (:func:`scipy_candidate_basis`).  Float answers are never trusted;
+   they only nominate a candidate basis.
 2. **Exact certification** — refactorize the candidate basis over
    ``Fraction``; check primal feasibility exactly (``B^{-1} b >= 0``,
    artificials at zero) and dual feasibility by exact pricing.  If both
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-import numpy
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
+from scipy.optimize._highspy import _core as highs
 
 from repro.lint.sanitizer import float_stage
 from repro.lp.dual import exact_dual_feasible, run_dual_simplex
@@ -62,97 +61,14 @@ from repro.lp.standard import (
     standardize,
 )
 
-#: Float values below this are treated as zero during crossover.
-_SUPPORT_TOL = 1e-9
-#: Reduced costs and row duals at or below this, relative to the
-#: largest cost, count as zero during crossover (HiGHS leaves ~1e-15
-#: relative noise on the Handelman LPs).
-_PRICE_TOL = 1e-9
-#: Minimal acceptable elimination pivot while selecting basis columns.
-_PIVOT_TOL = 1e-7
-
-
-def _crossover_basis(form: SparseStandardForm, result) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
-    """Select a basis from HiGHS's vertex solution and its marginals.
-
-    A basis is optimal when it holds the vertex's support (so ``x_B``
-    is the vertex: primal feasible) and only columns whose reduced
-    cost ``d_j = c_j - y.a_j`` is zero (so the simplex multipliers it
-    defines are HiGHS's row duals ``y`` and every nonbasic column
-    prices out ``d_j >= 0``: dual feasible).  An artificial column
-    ``e_i`` costs zero in phase 2, so it prices out at zero only in a
-    row whose dual ``y_i`` is zero.  Columns are therefore scanned in
-    this order, each accepted greedily when independent of the ones
-    already selected (float Gaussian elimination):
-
-    1. the support, by descending value;
-    2. the other zero-priced columns;
-    3. the artificials of zero-dual rows;
-    4. the remaining columns by increasing reduced cost;
-    5. the remaining artificials, which guarantee completion.
-
-    When the first three groups span the rows the candidate is both
-    primal and dual feasible up to float noise, and exact pricing
-    certifies it with zero pivots.  Otherwise the later groups keep it
-    a basis and exact phase 2 finishes.  Artificials picked here sit
-    basic at zero and are pinned by the phase-2 ratio test, so they
-    never distort the solved program.
-    """
-    m, n = form.num_rows, form.num_cols
-    x = result.x
-    reduced = result.lower.marginals
-    duals = result.eqlin.marginals
-    scale = max(1.0, max((abs(float(c)) for c in form.costs), default=0.0))
-    tol = _PRICE_TOL * scale
-    support = sorted(
-        (j for j in range(n) if x[j] > _SUPPORT_TOL),
-        key=lambda j: (-x[j], j),
-    )
-    in_support = set(support)
-    zero_priced, priced = [], []
-    for j in range(n):
-        if j not in in_support:
-            (zero_priced if abs(reduced[j]) <= tol else priced).append(j)
-    priced.sort(key=lambda j: (reduced[j], j))
-    zero_dual, nonzero_dual = [], []
-    for i in range(m):
-        (zero_dual if abs(duals[i]) <= tol else nonzero_dual).append(n + i)
-    order = support + zero_priced + zero_dual + priced + nonzero_dual
-
-    basis: list[int] = []
-    used = numpy.zeros(m, dtype=bool)
-    eliminated: list[tuple[int, object]] = []  # (pivot row, unit vector)
-    for j in order:
-        if len(basis) == m:
-            break
-        vector = numpy.zeros(m)
-        if j < n:
-            for i, value in form.cols[j].items():
-                vector[i] = float(value)
-        else:
-            vector[j - n] = 1.0
-        for pivot, unit in eliminated:
-            factor = vector[pivot]
-            if factor:
-                vector -= factor * unit
-        candidates = numpy.where(used, 0.0, numpy.abs(vector))
-        pivot = int(candidates.argmax())
-        if candidates[pivot] <= _PIVOT_TOL:
-            continue
-        vector /= vector[pivot]
-        eliminated.append((pivot, vector))
-        used[pivot] = True
-        basis.append(j)
-    return basis if len(basis) == m else None
-
-
 # -- float stage -----------------------------------------------------------
 
 def scipy_candidate_basis(form: SparseStandardForm,
                           stats: dict) -> list[int] | None:
-    """HiGHS solve + support crossover; ``None`` when HiGHS reports no
-    optimum (``stats["float_status"]``) or the crossover finds no
-    basis."""
+    """HiGHS's optimal basis for ``form``: its basic columns, then the
+    artificial ``n + i`` of each basic row.  ``None`` when HiGHS reports
+    no optimum (``stats["float_status"]`` holds its model status) or its
+    basis does not have ``m`` members."""
     start = perf_counter()
     try:
         with float_stage("scipy-candidate"):
@@ -164,27 +80,37 @@ def scipy_candidate_basis(form: SparseStandardForm,
 
 def _scipy_candidate_basis(form: SparseStandardForm, stats: dict) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
     m, n = form.num_rows, form.num_cols
-    data, indices, indptr = [], [], [0]
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = [float(c) for c in form.costs]
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [highs.kHighsInf] * n
+    lp.row_lower_ = lp.row_upper_ = [float(b) for b in form.rhs]
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    start, index, value = [0], [], []
     for col in form.cols:
-        for i, value in sorted(col.items()):
-            data.append(float(value))
-            indices.append(i)
-        indptr.append(len(data))
-    matrix = csc_matrix(
-        (numpy.array(data), numpy.array(indices), numpy.array(indptr)),
-        shape=(m, n),
-    )
-    result = linprog(
-        c=numpy.array([float(c) for c in form.costs]),
-        A_eq=matrix,
-        b_eq=numpy.array([float(b) for b in form.rhs]),
-        bounds=(0, None),
-        method="highs",
-    )
-    stats["float_status"] = int(result.status)
-    if result.status != 0 or result.x is None:
+        for i, coefficient in sorted(col.items()):
+            index.append(i)
+            value.append(float(coefficient))
+        start.append(len(index))
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    stats["float_status"] = status.name
+    if status != highs.HighsModelStatus.kOptimal:
         return None
-    return _crossover_basis(form, result)
+    # A basic row keeps its slack, a unit column, in HiGHS's basis;
+    # the row's artificial is the same unit column here.
+    basic = highs.HighsBasisStatus.kBasic
+    optimal = solver.getBasis()
+    basis = [j for j, s in enumerate(optimal.col_status) if s == basic]
+    basis += [n + i for i, s in enumerate(optimal.row_status) if s == basic]
+    return basis if len(basis) == m else None
 
 
 # -- exact stage -----------------------------------------------------------

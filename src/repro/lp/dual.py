@@ -202,8 +202,8 @@ class IncrementalLP:
     feasible for the new costs.  Primal pivots then walk the degenerate
     optimal face — every step has length 0 — for hundreds of pivots
     (874 on ``join``'s five witnesses) before pricing proves
-    optimality.  HiGHS's reduced costs pick a dual feasible basis of
-    that face directly.  A rejected nomination (singular, or primal
+    optimality.  HiGHS's optimal basis is a dual feasible basis of
+    that face.  A rejected nomination (singular, or primal
     infeasible) or a missing one (HiGHS found no optimum, e.g. for an
     unbounded objective) falls back to that walk from the anchor
     (``"resolve:walked"``).

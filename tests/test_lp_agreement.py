@@ -196,9 +196,9 @@ class TestWarmStartPaths:
         solution = WarmStartExactBackend().solve(model)
         assert solution.status is LPStatus.INFEASIBLE
         assert solution.stats["path"] == "fallback"
-        # HiGHS reports the infeasibility (status 2) and nominates
-        # nothing; the exact two-phase solve is the only stage after it.
-        assert solution.stats["float_status"] == 2
+        # HiGHS reports the infeasibility and nominates nothing; the
+        # exact two-phase solve is the only stage after it.
+        assert solution.stats["float_status"] == "kInfeasible"
         assert not {"float_simplex_status", "float_pivots",
                     "float_factorizations"} & set(solution.stats)
 
@@ -215,6 +215,35 @@ class TestWarmStartPaths:
         assert solution.objective_value == -8
         assert solution.stats["path"] == "certified"
         assert solution.stats["phase2_pivots"] == 0
+
+    def test_basic_row_is_nominated_as_its_artificial(self):
+        """Of two dependent equality rows HiGHS keeps one basic, and
+        the nomination names that row by its artificial ``n + i``.
+
+        The float stage reads HiGHS through scipy's private bindings
+        ``scipy.optimize._highspy._core``: ``HighsLp``, ``_Highs``'s
+        ``passModel``, ``run``, ``getModelStatus`` and ``getBasis``,
+        and the ``HighsModelStatus``/``HighsBasisStatus`` enums.  A
+        scipy release that moves any of them fails here.
+        """
+        x, y = AffineExpr.variable("x"), AffineExpr.variable("y")
+        model = LPModel()
+        model.add_variable("x", 0)
+        model.add_variable("y", 0)
+        model.add_equality(x + y - 2)
+        model.add_equality(2 * x + 2 * y - 4)
+        model.minimize(x)
+        form = standardize(model)
+        stats: dict = {}
+        basis = certify.scipy_candidate_basis(form, stats)
+        assert stats["float_status"] == "kOptimal"
+        assert basis is not None and len(basis) == form.num_rows
+        assert sum(j >= form.num_cols for j in basis) == 1
+        solution = WarmStartExactBackend().solve(model)
+        assert solution.status is LPStatus.OPTIMAL
+        assert solution.objective_value == 0
+        assert solution.stats["path"] == "certified"
+        assert solution.stats["pivots"] == 0
 
     def test_warm_start_rejects_bad_bases(self):
         x, y = AffineExpr.variable("x"), AffineExpr.variable("y")
