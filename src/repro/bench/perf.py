@@ -228,10 +228,11 @@ def build_profile(report: dict[str, Any]) -> dict[str, Any]:
     return profile
 
 
-#: Per-variant counters surfaced in each refutation-batch row.
+#: Per-variant counters surfaced in each refutation-batch row
+#: (``float_models``: HiGHS models the float stage built).
 _REFUTE_STAT_KEYS = (
     "solves", "factorizations", "refactorizations", "pivots",
-    "eta_pivots", "max_eta", "resolves", "dual_resolves",
+    "eta_pivots", "max_eta", "resolves", "dual_resolves", "float_models",
 )
 
 

@@ -18,11 +18,12 @@ Handelman expansion and ``encode_implication`` **once** and swaps
 objectives: exact backends re-solve through
 :class:`~repro.lp.dual.IncrementalLP`, which exchanges one LU/eta
 factorization onto a HiGHS-nominated basis per witness and certifies
-it by exact pricing instead of solving cold — one factorization
-amortized over up to 33 witness LPs; float backends re-solve the
-shared model.  The certified gaps do not depend on the basis path: the
-optimal value of an LP is unique.  ``repro.bench.perf`` checks this
-against a cold reference that solves each witness in a call of its own.
+it by exact pricing instead of solving cold — one factorization and
+one HiGHS model, whose costs change per witness, amortized over up to
+33 witness LPs; float backends re-solve the shared model.  The
+certified gaps do not depend on the basis path: the optimal value of
+an LP is unique.  ``repro.bench.perf`` checks this against a cold
+reference that solves each witness in a call of its own.
 """
 
 from __future__ import annotations

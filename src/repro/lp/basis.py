@@ -194,11 +194,12 @@ class BasisFactorization:
                         total = total - uv * xj
             x[k] = total / u_row[k] if total else total
         for r, off, wr in self.etas:
-            xr = x[r] / wr
+            xr = x[r]
             if xr:
+                xr = xr / wr
                 for i, wi in off.items():
                     x[i] = x[i] - wi * xr
-            x[r] = xr
+                x[r] = xr
         return x
 
     def btran(self, vec: list) -> list:

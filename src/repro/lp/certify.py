@@ -8,7 +8,10 @@ The solve ladder, in the style of iteratively-refined exact solvers
    basis HiGHS ends at: its basic columns, plus the artificial
    ``n + i`` of each row whose slack it keeps basic
    (:func:`scipy_candidate_basis`).  Float answers are never trusted;
-   they only nominate a candidate basis.
+   they only nominate a candidate basis.  HiGHS's model of a form is
+   built once and kept on the form; a later nomination only changes
+   its costs and clears HiGHS's solver state, so it solves from
+   scratch, as a fresh model would.
 2. **Exact certification** — refactorize the candidate basis over
    ``Fraction``; check primal feasibility exactly (``B^{-1} b >= 0``,
    artificials at zero) and dual feasibility by exact pricing.  If both
@@ -32,7 +35,8 @@ basis of the same LP, and the optimal objective value is unique.
 routine returning the *live* exact solver, which is what
 :class:`~repro.lp.dual.IncrementalLP` builds its factorized-basis
 re-solves on; its re-solves take their nominations from
-:func:`scipy_candidate_basis` too.
+:func:`scipy_candidate_basis` too, all from the one HiGHS model of
+their form.
 """
 
 from __future__ import annotations
@@ -56,8 +60,7 @@ from repro.lp.revised import (
 from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.standard import (
     SparseStandardForm,
-    model_objective_value,
-    recover_values,
+    optimal_solution,
     standardize,
 )
 
@@ -68,7 +71,11 @@ def scipy_candidate_basis(form: SparseStandardForm,
     """HiGHS's optimal basis for ``form``: its basic columns, then the
     artificial ``n + i`` of each basic row.  ``None`` when HiGHS reports
     no optimum (``stats["float_status"]`` holds its model status) or its
-    basis does not have ``m`` members."""
+    basis does not have ``m`` members.
+
+    HiGHS's model of the form is built once, kept as
+    ``form.float_model`` (``stats["float_models"]`` counts the build),
+    and on later calls only takes the form's current costs."""
     start = perf_counter()
     try:
         with float_stage("scipy-candidate"):
@@ -78,11 +85,41 @@ def scipy_candidate_basis(form: SparseStandardForm,
                                + perf_counter() - start)
 
 
-def _scipy_candidate_basis(form: SparseStandardForm, stats: dict) -> list[int] | None:  # lint: allow[float-cast] declared float warm-start stage
+def _scipy_candidate_basis(form: SparseStandardForm, stats: dict) -> list[int] | None:  # lint: allow[float-cast, float-literal] declared float warm-start stage
+    m, n = form.num_rows, form.num_cols
+    # Most costs are zero, and float() of a Fraction is slow.
+    costs = [float(c) if c else 0.0 for c in form.costs]
+    solver = form.float_model
+    if solver is None:
+        solver = form.float_model = _highs_model(form, costs)
+        stats["float_models"] = stats.get("float_models", 0) + 1
+    else:
+        # clearSolver() drops the last basis, so HiGHS solves from
+        # scratch and nominates what a fresh model would.  Re-running
+        # from the last basis moved nominations, and with them
+        # certificates, and took more exact work to certify them.
+        solver.changeColsCost(n, range(n), costs)
+        solver.clearSolver()
+    solver.run()
+    status = solver.getModelStatus()
+    stats["float_status"] = status.name
+    if status != highs.HighsModelStatus.kOptimal:
+        return None
+    # A basic row keeps its slack, a unit column, in HiGHS's basis;
+    # the row's artificial is the same unit column here.
+    basic = highs.HighsBasisStatus.kBasic
+    optimal = solver.getBasis()
+    basis = [j for j, s in enumerate(optimal.col_status) if s == basic]
+    basis += [n + i for i, s in enumerate(optimal.row_status) if s == basic]
+    return basis if len(basis) == m else None
+
+
+def _highs_model(form: SparseStandardForm, costs: list[float]):  # lint: allow[float-cast] declared float warm-start stage
+    """A HiGHS solver holding ``form`` with the given float costs."""
     m, n = form.num_rows, form.num_cols
     lp = highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = [float(c) for c in form.costs]
+    lp.col_cost_ = costs
     lp.col_lower_ = [0.0] * n
     lp.col_upper_ = [highs.kHighsInf] * n
     lp.row_lower_ = lp.row_upper_ = [float(b) for b in form.rhs]
@@ -99,18 +136,7 @@ def _scipy_candidate_basis(form: SparseStandardForm, stats: dict) -> list[int] |
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
-    stats["float_status"] = status.name
-    if status != highs.HighsModelStatus.kOptimal:
-        return None
-    # A basic row keeps its slack, a unit column, in HiGHS's basis;
-    # the row's artificial is the same unit column here.
-    basic = highs.HighsBasisStatus.kBasic
-    optimal = solver.getBasis()
-    basis = [j for j, s in enumerate(optimal.col_status) if s == basic]
-    basis += [n + i for i, s in enumerate(optimal.row_status) if s == basic]
-    return basis if len(basis) == m else None
+    return solver
 
 
 # -- exact stage -----------------------------------------------------------
@@ -197,9 +223,4 @@ class WarmStartExactBackend:
                        else "dual simplex certified infeasibility")
             return LPSolution(LPStatus.INFEASIBLE, message=message,
                               stats=stats)
-        values = recover_values(form, solver.assignment())
-        return LPSolution(
-            LPStatus.OPTIMAL, values=values,
-            objective_value=model_objective_value(model, values),
-            stats=stats,
-        )
+        return optimal_solution(model, form, solver.assignment(), stats)

@@ -25,10 +25,10 @@ index, which the dual Bland guarantee requires).
 
 :class:`IncrementalLP` packages this into the one-encode re-solve loop
 used by threshold refutation: standardize a model once, factorize once,
-then re-optimize per objective (column exchanges onto a basis HiGHS
-nominates, certified by exact pricing) or per bound tweak (dual simplex
-after an rhs patch) — never re-encoding, and refactorizing only when
-the eta file says so.
+build HiGHS's model once, then re-optimize per objective (column
+exchanges onto a basis HiGHS nominates, certified by exact pricing) or
+per bound tweak (dual simplex after an rhs patch) — never re-encoding,
+and refactorizing only when the eta file says so.
 """
 
 from __future__ import annotations
@@ -48,11 +48,7 @@ from repro.lp.revised import (
     _no_constraint_solution,
 )
 from repro.lp.solution import LPSolution, LPStatus
-from repro.lp.standard import (
-    model_objective_value,
-    recover_values,
-    standardize,
-)
+from repro.lp.standard import optimal_solution, standardize
 from repro.utils.rationals import Numeric, as_fraction
 
 _ZERO = Fraction(0)
@@ -68,7 +64,7 @@ _SOLVER_COUNTERS = (
 #: they fold with a float delta loop rather than the int counter one.
 _SOLVER_TIMERS = (
     "time_pricing", "time_ratio", "time_update", "time_certify",
-    "time_refactor", "time_ftran", "time_btran", "time_eta",
+    "time_refactor", "time_ftran", "time_btran", "time_eta", "time_setup",
 )
 
 
@@ -181,14 +177,17 @@ class IncrementalLP:
     - :meth:`solve` with a new objective rewinds to the *anchor* (an
       earlier primal feasible basis whose factorization is a prefix of
       the eta file), lets HiGHS nominate a basis for the new costs
-      (:func:`repro.lp.certify.scipy_candidate_basis`), moves the live
-      basis onto it by column exchanges — one ``ftran`` and one eta
-      push per entering column, no fresh LU — and resumes exact phase
-      2.  When the nomination is dual feasible, phase 2 certifies it
-      with zero pivots (``path = "resolve:certified"``);
+      (:func:`repro.lp.certify.scipy_candidate_basis`, on the HiGHS
+      model the form keeps; ``stats["float_models"]`` counts builds),
+      moves the live basis onto it by column exchanges — one ``ftran``
+      and one eta push per entering column, no fresh LU — and resumes
+      exact phase 2.  When the nomination is dual feasible, phase 2
+      certifies it with zero pivots (``path = "resolve:certified"``);
     - :meth:`update_upper` patches the standard form's right-hand side
       in place (the basis stays *dual* feasible when only ``b``
-      changes) and repairs primal feasibility with the dual simplex.
+      changes), drops the form's HiGHS model, which holds the old
+      right-hand side, and repairs primal feasibility with the dual
+      simplex.
 
     The first solve runs the ``exact-warm`` ladder of
     :func:`repro.lp.certify.solve_form_exact` (HiGHS basis + exact
@@ -249,7 +248,10 @@ class IncrementalLP:
             self.stats[key] = 0
         for key in _SOLVER_TIMERS:
             self.stats[key] = 0.0
-        self.stats["time_float"] = 0.0  # HiGHS nominations
+        # HiGHS nominations: models built, and their seconds.
+        self.stats["float_models"] = 0
+        self.stats["time_float"] = 0.0
+        self.stats["time_recover"] = 0.0
 
     # -- objectives --------------------------------------------------------
 
@@ -341,6 +343,8 @@ class IncrementalLP:
                 (col, _factor), = self.form.recover[name]
                 orientation = self.solver.cols[col][row]
                 self.solver.b[row] = orientation * (upper - lower)
+        # HiGHS's model of the form still holds the old rhs.
+        self.form.float_model = None
         self.model.set_bounds(name, lower, upper)
         self._infeasible = False
 
@@ -408,7 +412,7 @@ class IncrementalLP:
             eta_limit=self.eta_limit,
         )
         self.solver = solver
-        self.stats["time_float"] += ladder_stats.get("time_float", 0.0)
+        self._fold_float_stage(ladder_stats)
         stats = self._collect(path=f"cold:{ladder_stats.get('path')}")
         if status is INFEASIBLE:
             self._infeasible = True
@@ -485,13 +489,17 @@ class IncrementalLP:
 
         ladder_stats: dict = {}
         basis = scipy_candidate_basis(self.form, ladder_stats)
-        self.stats["time_float"] += ladder_stats.get("time_float", 0.0)
+        self._fold_float_stage(ladder_stats)
         if basis is None:
             return "none"
         verdict = self.solver.exchange_basis(basis)
         if verdict is not WARM_READY:
             self._restore_anchor()
         return verdict
+
+    def _fold_float_stage(self, ladder_stats: dict) -> None:
+        for key in ("float_models", "time_float"):
+            self.stats[key] += ladder_stats.get(key, 0)
 
     def _resolve(self, costs: list[Fraction]) -> LPSolution:
         solver = self.solver
@@ -537,9 +545,7 @@ class IncrementalLP:
         return delta
 
     def _optimal_solution(self, stats: dict) -> LPSolution:
-        values = recover_values(self.form, self.solver.assignment())
-        return LPSolution(
-            LPStatus.OPTIMAL, values=values,
-            objective_value=model_objective_value(self.model, values),
-            stats=stats,
-        )
+        solution = optimal_solution(self.model, self.form,
+                                    self.solver.assignment(), stats)
+        self.stats["time_recover"] += stats["time_recover"]
+        return solution

@@ -25,7 +25,10 @@ pivot builds its pivot row ``alpha = e_r^T B^{-1} A`` (a unit-vector
 ``btran``, then a row-wise view of the columns) and applies
 ``d_j -= (d_q / alpha_q) alpha_j``.  Over ``Fraction`` the kept vector
 equals a fresh pricing, so every pivot choice is the one full pricing
-would make.
+would make.  A fresh pricing runs in integers: ``y`` over one common
+denominator against each column's integer entries (built once per
+solver), one ``Fraction`` per column; it equals the ``Fraction`` sweep
+it replaced, which ``tests/fraction_lp.py`` keeps as the oracle.
 
 Every sign test compares against exact zero; floats only ever nominate
 a starting basis (:mod:`repro.lp.certify`'s HiGHS stage), which
@@ -37,6 +40,7 @@ and dual pivots share one factorization and one eta file.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 from repro.errors import LPError
@@ -50,8 +54,7 @@ from repro.lp.model import LPModel
 from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.standard import (
     SparseStandardForm,
-    model_objective_value,
-    recover_values,
+    optimal_solution,
     standardize,
 )
 
@@ -87,6 +90,7 @@ class RevisedSimplex:
         self.bland_trigger = bland_trigger
         self.m = form.num_rows
         self.n = form.num_cols
+        start = perf_counter()
 
         self.cols: list[dict[int, Fraction]] = [
             {i: Fraction(v) for i, v in col.items()} for col in form.cols
@@ -110,6 +114,11 @@ class RevisedSimplex:
         for j, col in enumerate(self.cols):
             for i, a in col.items():
                 self.rows[i][j] = a
+        #: Each structural column over its own common denominator,
+        #: ``(denominator, ((row, integer), ...))``, for pricing.
+        self.int_cols: list[tuple[int, tuple[tuple[int, int], ...]]] = [
+            _integer_column(col) for col in self.cols
+        ]
         for row in range(self.m):
             self.cols.append({row: _ONE})  # artificial e_row
         self.costs = [Fraction(v) for v in form.costs]
@@ -131,6 +140,7 @@ class RevisedSimplex:
             "time_ratio": 0.0,
             "time_update": 0.0,
             "time_certify": 0.0,
+            "time_setup": 0.0,  # this constructor, less its LU
         }
         #: LU + eta factors; shares the stats dict so factorization and
         #: eta counters surface directly in solver stats.
@@ -144,9 +154,10 @@ class RevisedSimplex:
         self.in_basis: list[bool] = (
             [False] * self.n + [True] * self.m
         )
-        self.fact.factorize([self.cols[j] for j in self.basis])
         self.xb: list[object] = list(self.b)
         self.phase = 1
+        self.stats["time_setup"] = perf_counter() - start
+        self.fact.factorize([self.cols[j] for j in self.basis])
 
     # -- linear algebra kernels ------------------------------------------
 
@@ -159,19 +170,31 @@ class RevisedSimplex:
     def _reduced_costs(self, costs: list[object],
                        timer: str = "time_pricing") -> list[object]:
         """Reduced costs ``c_j - y.a_j`` of the structural columns from
-        scratch (``y = B^{-T} c_B``); basic entries are zero."""
+        scratch (``y = B^{-T} c_B``), priced in integers against
+        :attr:`int_cols`; basic entries are zero."""
         y = self.fact.btran([costs[b] for b in self.basis])
         start = perf_counter()
+        common = lcm(*{v.denominator for v in y if v})  # lint: allow[math-call] lcm of int denominators is exact
+        scaled = [v.numerator * (common // v.denominator) for v in y]
+        in_basis = self.in_basis
         d = [_ZERO] * self.n
-        for j in range(self.n):
-            if self.in_basis[j]:
+        for j, (denominator, entries) in enumerate(self.int_cols):
+            if in_basis[j]:
                 continue
-            reduced = costs[j]
-            for i, a in self.cols[j].items():
-                yi = y[i]
+            total = 0
+            for i, a in entries:
+                yi = scaled[i]
                 if yi:
-                    reduced = reduced - yi * a
-            d[j] = reduced
+                    total += yi * a
+            cost = costs[j]
+            if total:
+                # y.a_j == total / scale
+                scale = common * denominator
+                d[j] = Fraction(
+                    cost.numerator * scale - cost.denominator * total,
+                    cost.denominator * scale)
+            else:
+                d[j] = cost
         self.stats[timer] += perf_counter() - start
         return d
 
@@ -432,15 +455,23 @@ class RevisedSimplex:
         return values
 
 
+def _integer_column(col: dict[int, Fraction]
+                    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``col`` as ``(denominator, ((row, integer), ...))``: its entries
+    are the integers over the common denominator."""
+    denominator = lcm(*{a.denominator for a in col.values()})  # lint: allow[math-call] lcm of int denominators is exact
+    return denominator, tuple(
+        (i, a.numerator * (denominator // a.denominator))
+        for i, a in col.items())
+
+
 def _no_constraint_solution(model: LPModel,
                             form: SparseStandardForm) -> LPSolution:
     """The ``m == 0`` special case shared by the sparse exact backends."""
     if any(cost < 0 for cost in form.costs):
         return LPSolution(LPStatus.UNBOUNDED,
                           message="no constraints, improving ray")
-    values = recover_values(form, [_ZERO] * form.num_cols)
-    return LPSolution(LPStatus.OPTIMAL, values=values,
-                      objective_value=model_objective_value(model, values))
+    return optimal_solution(model, form, [_ZERO] * form.num_cols, {})
 
 
 class RevisedSimplexBackend:
@@ -473,7 +504,5 @@ class RevisedSimplexBackend:
             return LPSolution(LPStatus.UNBOUNDED,
                               message="phase-2 unbounded",
                               stats=dict(solver.stats))
-        values = recover_values(form, solver.assignment())
-        return LPSolution(LPStatus.OPTIMAL, values=values,
-                          objective_value=model_objective_value(model, values),
-                          stats=dict(solver.stats))
+        return optimal_solution(model, form, solver.assignment(),
+                                dict(solver.stats))

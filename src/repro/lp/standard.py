@@ -20,7 +20,12 @@ The transformation mirrors the classical textbook one:
 - ``>=`` constraints gain a slack column.
 
 ``recover``/``shifts`` keep enough bookkeeping to map a standard-form
-assignment back to the original model variables.
+assignment back to the original model variables.  Every original
+variable owns its columns, and each recover factor is ``+1`` or ``-1``,
+so rows and recovered values are built by copying or negating a
+coefficient, never by multiplying through it, and zero shifts are
+skipped (``tests/fraction_lp.py`` keeps the multiplying expansion as
+the oracle).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from time import perf_counter
 
 from repro.errors import LPError
 from repro.lp.model import EQ, GE, LPModel
+from repro.lp.solution import LPSolution, LPStatus
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,7 +45,7 @@ class SparseStandardForm:
     """``min c.x  s.t.  A x = b, x >= 0`` with sparse columns."""
 
     __slots__ = ("col_names", "cols", "costs", "rhs", "recover", "shifts",
-                 "bound_rows")
+                 "bound_rows", "float_model")
 
     def __init__(self):
         self.col_names: list[str] = []
@@ -47,12 +53,17 @@ class SparseStandardForm:
         self.cols: list[dict[int, Fraction]] = []
         self.costs: list[Fraction] = []
         self.rhs: list[Fraction] = []
-        #: original variable -> list of (column index, coefficient)
-        self.recover: dict[str, list[tuple[int, Fraction]]] = {}
+        #: original variable -> list of (column index, factor +-1)
+        self.recover: dict[str, list[tuple[int, int]]] = {}
         self.shifts: dict[str, Fraction] = {}
         #: two-sided-bounded variable -> row index of its
         #: ``x + s = upper - lower`` row (for incremental bound tweaks).
         self.bound_rows: dict[str, int] = {}
+        #: HiGHS's model of this form, built by the float stage
+        #: (:func:`repro.lp.certify.scipy_candidate_basis`) on first use
+        #: and kept across cost changes.  It copies ``cols`` and
+        #: ``rhs``: whoever changes either must reset it to ``None``.
+        self.float_model: object | None = None
 
     @property
     def num_cols(self) -> int:
@@ -125,11 +136,11 @@ def standardize(model: LPModel,
         if lower is None and upper is None:
             pos = form.new_column(f"{name}+", cost)
             neg = form.new_column(f"{name}-", -cost)
-            form.recover[name] = [(pos, _ONE), (neg, -_ONE)]
+            form.recover[name] = [(pos, 1), (neg, -1)]
             form.shifts[name] = _ZERO
         elif lower is not None:
             col = form.new_column(name, cost)
-            form.recover[name] = [(col, _ONE)]
+            form.recover[name] = [(col, 1)]
             form.shifts[name] = lower
             if upper is not None:
                 slack = form.new_column(f"{name}.ub", _ZERO)
@@ -138,8 +149,10 @@ def standardize(model: LPModel,
         else:
             # Only an upper bound: x = upper - x', x' >= 0.
             col = form.new_column(name, -cost)
-            form.recover[name] = [(col, -_ONE)]
+            form.recover[name] = [(col, -1)]
             form.shifts[name] = upper
+
+    shifts, recover = form.shifts, form.recover
 
     def expand_expr(expr) -> tuple[dict[int, Fraction], Fraction]:
         """Rewrite an AffineExpr over original variables into column
@@ -147,9 +160,11 @@ def standardize(model: LPModel,
         columns: dict[int, Fraction] = {}
         constant = expr.constant_term
         for name, coeff in expr.coefficients():
-            constant += coeff * form.shifts[name]
-            for col, factor in form.recover[name]:
-                columns[col] = columns.get(col, _ZERO) + coeff * factor
+            shift = shifts[name]
+            if shift:
+                constant += coeff * shift
+            for col, factor in recover[name]:
+                columns[col] = coeff if factor > 0 else -coeff
         return columns, constant
 
     for name, columns, rhs in bound_rows:
@@ -174,10 +189,15 @@ def recover_values(form: SparseStandardForm,
                    assignment: list[Fraction]) -> dict[str, Fraction]:
     """Map a standard-form assignment back to model variables."""
     values: dict[str, Fraction] = {}
+    shifts = form.shifts
     for name, parts in form.recover.items():
-        total = form.shifts[name]
+        total = shifts[name]
         for col, factor in parts:
-            total += factor * assignment[col]
+            value = assignment[col]
+            if value:
+                if factor < 0:
+                    value = -value
+                total = total + value if total else value
         values[name] = total
     return values
 
@@ -188,3 +208,17 @@ def model_objective_value(model: LPModel,
     if model.objective is None:
         return None
     return model.objective.expr.evaluate(values)
+
+
+def optimal_solution(model: LPModel, form: SparseStandardForm,
+                     assignment: list[Fraction], stats: dict) -> LPSolution:
+    """The ``OPTIMAL`` solution of ``model`` at the standard-form
+    ``assignment``; the recovery's seconds go to ``time_recover`` in
+    ``stats``, which becomes the solution's stats."""
+    start = perf_counter()
+    values = recover_values(form, assignment)
+    objective_value = model_objective_value(model, values)
+    stats["time_recover"] = (stats.get("time_recover", 0.0)
+                             + perf_counter() - start)
+    return LPSolution(LPStatus.OPTIMAL, values=values,
+                      objective_value=objective_value, stats=stats)

@@ -118,6 +118,9 @@ class TestRefutationWorkGuard:
         assert result.guaranteed_difference == 10000
         assert stats["pivots"] <= 50
         assert stats["factorizations"] <= 5
+        # One HiGHS model serves all five witnesses: later ones only
+        # change its costs.
+        assert stats["float_models"] == 1
 
 
 class TestWitnessDeduplication:

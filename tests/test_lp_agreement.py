@@ -549,6 +549,43 @@ class TestResolveBranches:
                     cold_unbounded += 1
         assert cold_unbounded > 0
 
+    def test_kept_float_model_nominates_as_a_fresh_one(self, monkeypatch):
+        # Objective swaps reuse the form's HiGHS model; bound tweaks
+        # patch the form's rhs under it.  Every nomination must equal
+        # the one from a model built afresh from the patched form: a
+        # stale rhs would only nominate worse bases, so no optimum
+        # would show it.
+        nominate = certify.scipy_candidate_basis
+        kept_models = []
+
+        def compared(form, stats):
+            kept = form.float_model
+            basis = nominate(form, stats)
+            kept_models.append(kept is not None)
+            model, form.float_model = form.float_model, None
+            fresh: dict = {}
+            assert nominate(form, fresh) == basis
+            assert fresh["float_status"] == stats["float_status"]
+            form.float_model = model
+            return basis
+
+        monkeypatch.setattr(certify, "scipy_candidate_basis", compared)
+        rng = random.Random(SEED + 8)
+        for _ in range(40):
+            model = make_random_lp(rng)
+            model.add_variable("v0", -12, 12)
+            incremental = IncrementalLP(model)
+            for upper in (9, 5, 2):
+                for _ in range(2):
+                    objective = AffineExpr.zero()
+                    for name in incremental.form.recover:
+                        objective = (objective + rng.randint(-2, 2)
+                                     * AffineExpr.variable(name))
+                    incremental.solve(objective)
+                incremental.update_upper("v0", upper)
+        assert kept_models.count(True) >= 100
+        assert kept_models.count(False) >= 40
+
 
 class TestTable1ExactParity:
     """Acceptance gate: on a Table 1 Handelman LP the warm-started
