@@ -11,7 +11,11 @@ product's column (see :meth:`ProductTable.column`) times ``c_g``, and
 each nonzero row is added once as an :class:`AffineExpr`, so the cost is
 linear in the number of product terms.  The implications of one set
 share a :class:`ProductTable`, so each distinct product is multiplied
-and normalized once per set.
+(in integers) and its column built once per set.
+
+The encoder runs in an :func:`~repro.lint.sanitizer.exact_region`
+(``"handelman-encode"``): under ``REPRO_SANITIZE=1`` a float built in
+products, columns or rows raises.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.handelman.products import ProductTable
+from repro.lint.sanitizer import exact_region
 from repro.lp.model import LPModel
 from repro.poly.linexpr import AffineExpr
 from repro.poly.template import TemplatePolynomial
@@ -57,21 +62,22 @@ def encode_implication(constraint: ImplicationConstraint, model: LPModel,
     every implication of a set encoded into one model; the model does
     not depend on what the table already holds.
     """
-    table = ProductTable() if products is None else products
-    keys = table.keys([ineq.expr.to_polynomial()
-                       for ineq in constraint.premise], max_factors)
+    with exact_region("handelman-encode"):
+        table = ProductTable() if products is None else products
+        keys = table.keys([ineq.expr.to_polynomial()
+                           for ineq in constraint.premise], max_factors)
 
-    rows = {mono: (dict(expr.coefficients()), expr.constant_term)
-            for mono, expr in constraint.consequent.terms()}
-    for key in keys:
-        multiplier = fresh.fresh(f"c[{constraint.name}]")
-        model.add_variable(multiplier, lower=0)
-        for mono, coeff in table.column(key):
-            rows.setdefault(mono, ({}, 0))[0][multiplier] = coeff
+        rows = {mono: (dict(expr.coefficients()), expr.constant_term)
+                for mono, expr in constraint.consequent.terms()}
+        for key in keys:
+            multiplier = fresh.fresh(f"c[{constraint.name}]")
+            model.add_variable(multiplier, lower=0)
+            for mono, coeff in table.column(key):
+                rows.setdefault(mono, ({}, 0))[0][multiplier] = coeff
 
-    monomials = [mono for mono in sorted(rows)
-                 if rows[mono][1] or any(rows[mono][0].values())]
-    for mono in monomials:
-        model.add_equality(AffineExpr(*rows[mono]),
-                           name=f"{constraint.name}:{mono}")
+        monomials = [mono for mono in sorted(rows)
+                     if rows[mono][1] or any(rows[mono][0].values())]
+        for mono in monomials:
+            model.add_equality(AffineExpr(*rows[mono]),
+                               name=f"{constraint.name}:{mono}")
     return EncodingStats(products=len(keys), monomials=len(monomials))

@@ -92,8 +92,10 @@ class RevisedSimplex:
         self.n = form.num_cols
         start = perf_counter()
 
+        # Copies, not the form's own dicts: the flip below negates
+        # entries.  ``standardize`` stores ``Fraction``s already.
         self.cols: list[dict[int, Fraction]] = [
-            {i: Fraction(v) for i, v in col.items()} for col in form.cols
+            dict(col) for col in form.cols
         ]
         self.b = [Fraction(v) for v in form.rhs]
         # Incremental rhs tweaks can leave negative entries; equality
@@ -109,11 +111,10 @@ class RevisedSimplex:
                     if i in flip:
                         col[i] = -col[i]
         #: Row-wise view of the structural columns, ``{column: value}``
-        #: per row, for pivot rows; columns never change after this.
-        self.rows: list[dict[int, Fraction]] = [{} for _ in range(self.m)]
-        for j, col in enumerate(self.cols):
-            for i, a in col.items():
-                self.rows[i][j] = a
+        #: per row, for pivot rows; built by the first pivot row, as a
+        #: certified warm start pivots none.  Columns never change
+        #: after this constructor.
+        self._rows: list[dict[int, Fraction]] | None = None
         #: Each structural column over its own common denominator,
         #: ``(denominator, ((row, integer), ...))``, for pricing.
         self.int_cols: list[tuple[int, tuple[tuple[int, int], ...]]] = [
@@ -201,12 +202,20 @@ class RevisedSimplex:
     def _pivot_row(self, row: int) -> dict[int, object]:
         """``{column: alpha_j}`` of ``e_row^T B^{-1} A`` over the
         structural columns, basic ones included (may hold zeros)."""
+        rows = self._rows
+        if rows is None:
+            start = perf_counter()
+            rows = self._rows = [{} for _ in range(self.m)]
+            for j, col in enumerate(self.cols[:self.n]):
+                for i, a in col.items():
+                    rows[i][j] = a
+            self.stats["time_setup"] += perf_counter() - start
         rho = self.fact.btran_unit(row)
         start = perf_counter()
         alpha: dict[int, object] = {}
         for i, ri in enumerate(rho):
             if ri:
-                for j, a in self.rows[i].items():
+                for j, a in rows[i].items():
                     if j in alpha:
                         alpha[j] = alpha[j] + ri * a
                     else:

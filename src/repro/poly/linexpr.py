@@ -44,7 +44,8 @@ class AffineExpr:
             sorted(normalized.items())
         )
         self._constant = as_fraction(constant)
-        self._hash = hash((self._coeffs, self._constant))
+        # Hashed on first use: LP rows never are.
+        self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -202,6 +203,8 @@ class AffineExpr:
         return (self._coeffs, self._constant) == (other._coeffs, other._constant)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._coeffs, self._constant))
         return self._hash
 
     def __str__(self) -> str:

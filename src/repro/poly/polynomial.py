@@ -37,7 +37,8 @@ class Polynomial:
         self._terms: tuple[tuple[Monomial, Fraction], ...] = tuple(
             sorted(normalized.items(), key=lambda item: item[0])
         )
-        self._hash = hash(self._terms)
+        # Hashed on first use: most polynomials never are.
+        self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -216,6 +217,8 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._terms)
         return self._hash
 
     def __str__(self) -> str:

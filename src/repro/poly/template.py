@@ -11,6 +11,11 @@ manipulates these objects symbolically: substitution of transition
 updates, subtraction of templates at different locations, and addition of
 concrete cost polynomials all stay linear in the ``u`` symbols — which is
 precisely what makes the final system an LP.
+
+Substitution (:meth:`TemplatePolynomial.substitute`) expands each
+monomial once per call, off its prefix monomial, and sums the
+distributed coefficients per result monomial before building any
+:class:`~repro.poly.linexpr.AffineExpr`.
 """
 
 from __future__ import annotations
@@ -176,17 +181,42 @@ class TemplatePolynomial:
         This implements the paper's ``φ(ℓ', Up_τ(x))``: each monomial is
         expanded under the update and its symbolic coefficient is
         distributed over the expansion.  Template symbols are untouched.
+
+        A monomial's expansion is its prefix's (the monomial with one
+        factor of its last variable removed) times that variable's
+        replacement, so each monomial costs one multiplication per call.
+        The distributed coefficients are summed per result monomial, and
+        each sum becomes one :class:`AffineExpr`.
         """
-        result = TemplatePolynomial.zero()
+        expansions = {Monomial.one(): Polynomial.constant(1)}
+
+        def expand(mono: Monomial) -> Polynomial:
+            expansion = expansions.get(mono)
+            if expansion is None:
+                powers = dict(mono.items())
+                var = next(reversed(powers))
+                powers[var] -= 1
+                replacement = mapping.get(var)
+                if replacement is None:
+                    replacement = Polynomial.variable(var)
+                expansion = expansions[mono] = (
+                    expand(Monomial(powers)) * replacement)
+            return expansion
+
+        coeffs: dict[Monomial, dict[str, Fraction]] = {}
+        constants: dict[Monomial, Fraction] = {}
         for mono, expr in self._terms:
-            expansion = Polynomial.constant(1)
-            for var, exp in mono.items():
-                replacement = mapping.get(var, Polynomial.variable(var))
-                expansion = expansion * replacement**exp
-            result = result + TemplatePolynomial(
-                {m: expr.scale(c) for m, c in expansion.terms()}
-            )
-        return result
+            constant = expr.constant_term
+            for result_mono, factor in expand(mono).terms():
+                row = coeffs.setdefault(result_mono, {})
+                for name, coeff in expr.coefficients():
+                    row[name] = row.get(name, 0) + coeff * factor
+                if constant:
+                    constants[result_mono] = (
+                        constants.get(result_mono, 0) + constant * factor)
+        return TemplatePolynomial({
+            mono: AffineExpr(row, constants.get(mono, 0))
+            for mono, row in coeffs.items()})
 
     def instantiate(self, assignment: Mapping[str, Numeric]) -> Polynomial:
         """Plug in values for all template symbols, yielding a concrete

@@ -276,8 +276,13 @@ class TestInlineRetry:
 class TestPoolSupervision:
     def test_worker_crash_is_respawned_and_retried(self, tmp_path,
                                                    monkeypatch):
+        # The delay keeps "steady"'s worker busy until "crashy"'s retry
+        # is dispatched, so the retry can only run on a *respawned*
+        # worker, not on steady's idle one.
         env_plan(monkeypatch, tmp_path, {"rules": [
             {"site": "worker.crash", "name": "crashy", "max_attempts": 1},
+            {"site": "job.delay", "name": "steady", "seconds": 2.0,
+             "max_attempts": 0},
         ]})
         with ParallelExecutor(jobs=2, max_retries=2) as executor:
             results = executor.run([bounded_job("crashy", 4),

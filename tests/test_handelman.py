@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_handelman
 from repro.bench.suite import load_pair
 from repro.config import AnalysisConfig
 from repro.core.diffcost import DiffCostAnalyzer
@@ -15,6 +16,7 @@ from repro.handelman import (
     encode_implication,
     generate_products,
 )
+from repro.handelman import products as products_mod
 from repro.handelman.encode import EncodingStats
 from repro.lp import LPModel, LPStatus, RevisedSimplexBackend, ScipyBackend
 from repro.poly.linexpr import AffineExpr
@@ -153,11 +155,12 @@ def test_certified_combinations_are_pointwise_sound(rows, max_factors):
 def reference_encode(constraint, model, fresh, max_factors):
     """Reference encoder: ``consequent − Σ c_g·ĝ`` summed as
     :class:`TemplatePolynomial` objects (``ĝ`` is ``g`` scaled to unit
-    max-coefficient), then one equality per monomial."""
-    products = generate_products(
+    max-coefficient), then one equality per monomial. The products come
+    from the ``Fraction`` table in ``fraction_handelman.py``."""
+    table = fraction_handelman.ProductTable()
+    products = [table.product(key) for key in table.keys(
         [ineq.expr.to_polynomial() for ineq in constraint.premise],
-        max_factors,
-    )
+        max_factors)]
     combination = TemplatePolynomial.zero()
     for product in products:
         multiplier = fresh.fresh(f"c[{constraint.name}]")
@@ -195,16 +198,19 @@ def assert_same_encoding(constraints, max_factors):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                          st.integers(-5, 5)), max_size=4),
+@given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=7),
+                          st.fractions(-3, 3, max_denominator=7),
+                          st.fractions(-5, 5, max_denominator=7)),
+                max_size=4),
        st.booleans(), st.booleans(),
        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                 min_size=6, max_size=6),
        st.integers(1, 3))
 def test_encoding_matches_reference(rows, duplicate, zero, coefficients,
                                     max_factors):
-    """Premise rows may repeat, vanish or carry coefficients > 1 (which
-    the unit max-coefficient normalisation rescales); the consequent is
+    """Premise rows may repeat, vanish, carry fractions with
+    denominators up to 7, or coefficients > 1 (which the unit
+    max-coefficient normalisation rescales); the consequent is
     symbolic with constants. A second implication over the reversed
     premise draws on the products the first left in the shared table,
     in another order."""
@@ -265,22 +271,35 @@ def test_shared_table_multiplies_and_normalizes_each_product_once(
         monkeypatch):
     """A count, not a clock: join's 13 implications at d = 2, K = 3
     enumerate 3,967 products over 24 distinct premises, 1,285 of them
-    products of two or more premises once shared. Multiplying and
-    normalizing per implication took 4,122 ``Polynomial.__mul__`` and
-    3,149 ``Polynomial.scale`` calls."""
-    constraints = pair_implications("join")
-    calls = {"__mul__": 0, "scale": 0}
-    for name in calls:
-        original = getattr(Polynomial, name)
+    products of two or more premises once shared, and nested's 17
+    enumerate 14,498 from 2,901. Multiplying and normalizing per
+    implication took 4,122 multiplications and 3,149 normalizations on
+    join. Each distinct key's column is built once."""
+    calls = {"_multiply": 0, "_column": 0}
+    for function in calls:
+        original = getattr(products_mod, function)
 
-        def counted(self, other, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, other)
+        def counted(*args, _original=original, _function=function):
+            calls[_function] += 1
+            return _original(*args)
 
-        monkeypatch.setattr(Polynomial, name, counted)
-    model, fresh, table = LPModel(), FreshNameGenerator(), ProductTable()
-    stats = [encode_implication(c, model, fresh, 3, table)
-             for c in constraints]
-    assert sum(s.products for s in stats) == 3967
-    assert calls["__mul__"] <= 1400
-    assert calls["scale"] <= 1000
+        monkeypatch.setattr(products_mod, function, counted)
+    distinct = set()
+    keys = ProductTable.keys
+
+    def recorded(self, *args):
+        result = keys(self, *args)
+        distinct.update(result)
+        return result
+
+    monkeypatch.setattr(ProductTable, "keys", recorded)
+    for name, products, multiplications in [("join", 3967, 1285),
+                                            ("nested", 14498, 2901)]:
+        calls.update(_multiply=0, _column=0)
+        distinct.clear()
+        model, fresh, table = LPModel(), FreshNameGenerator(), ProductTable()
+        stats = [encode_implication(c, model, fresh, 3, table)
+                 for c in pair_implications(name)]
+        assert sum(s.products for s in stats) == products
+        assert calls["_multiply"] == multiplications
+        assert calls["_column"] == len(distinct)
