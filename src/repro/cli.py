@@ -51,11 +51,15 @@ from repro.poly import parse_polynomial
 from repro.ts.pretty import render_dot, render_text
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-d", "--degree", type=int, default=2,
                         help="maximal template degree (default 2)")
     parser.add_argument("-K", "--max-products", type=int, default=2,
                         help="Handelman product bound (default 2)")
+
+
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_shape_arguments(parser)
     parser.add_argument("--backend", choices=list(available_backends()),
                         default="scipy", help="LP backend")
 
@@ -142,7 +146,10 @@ def _command_bound(args: argparse.Namespace) -> int:
 def _command_refute(args: argparse.Namespace) -> int:
     old = _load(args.old, "old")
     new = _load(args.new, "new")
-    result = refute_threshold(old, new, args.candidate, _config(args))
+    # Refutation always solves exactly: it has no backend to choose.
+    config = AnalysisConfig(degree=args.degree,
+                            max_products=args.max_products)
+    result = refute_threshold(old, new, args.candidate, config)
     print(result)
     return 0 if result.is_refuted else 1
 
@@ -356,17 +363,12 @@ def _command_coord(args: argparse.Namespace) -> int:
         # One-shot mode: fan this directory across the nodes, print the
         # merged report, exit — no listener, but the heartbeat monitor
         # runs so mid-batch node deaths still trigger reassignment.
-        registry = NodeRegistry(
-            dead_after=coord.dead_after,
-            quarantine_after=coord.quarantine_after,
-            recover_after=coord.recover_after,
-            evict_after=coord.evict_after,
-        )
+        registry = NodeRegistry(dead_after=coord.dead_after)
         for url in coord.nodes:
             registry.register(url)
         client = ResilientClient(
             deadline=coord.request_deadline, retries=coord.client_retries,
-            backoff_base=coord.backoff_base, seed=coord.client_seed,
+            seed=coord.client_seed,
         )
         monitor = HeartbeatMonitor(
             registry,
@@ -521,7 +523,6 @@ def _command_witness(args: argparse.Namespace) -> int:
 def _command_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.config import LintConfig
     from repro.lint import (
         lint_paths,
         load_baseline,
@@ -531,8 +532,6 @@ def _command_lint(args: argparse.Namespace) -> int:
         write_baseline,
     )
 
-    config = LintConfig(format=args.format, baseline=args.baseline,
-                        show_suppressed=args.show_suppressed)
     paths = [Path(p) for p in args.paths]
     if not paths:
         paths = [p for p in (Path("src"), Path("tests")) if p.is_dir()]
@@ -547,13 +546,13 @@ def _command_lint(args: argparse.Namespace) -> int:
         write_baseline(findings, args.write_baseline)
         print(f"baseline written: {args.write_baseline}")
         return 0
-    baseline = (load_baseline(config.baseline)
-                if config.baseline else frozenset())
-    if config.format == "json":
+    baseline = (load_baseline(args.baseline)
+                if args.baseline else frozenset())
+    if args.format == "json":
         print(render_json(findings, baseline=baseline))
     else:
         print(render_text(findings, baseline=baseline,
-                          show_suppressed=config.show_suppressed))
+                          show_suppressed=args.show_suppressed))
     return 1 if unsuppressed(findings, baseline) else 0
 
 
@@ -594,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     refute.add_argument("old")
     refute.add_argument("new")
     refute.add_argument("--candidate", type=float, required=True)
-    _add_config_arguments(refute)
+    _add_shape_arguments(refute)
     refute.set_defaults(handler=_command_refute)
 
     single = subparsers.add_parser(
@@ -785,8 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect and maintain a result cache "
              "(stats / compact / evict)",
         description="Operate on an existing result cache directory "
-                    "(its store is cache.sqlite3; a directory of legacy "
-                    "<key>.json entry files is imported on first open).",
+                    "(its store is cache.sqlite3).",
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     for name, blurb in (

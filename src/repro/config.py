@@ -27,12 +27,10 @@ class AnalysisConfig:
         One of :func:`~repro.lp.backend.available_backends`:
         ``"scipy"`` (float, HiGHS — fast), ``"exact"`` (sparse revised
         simplex over rationals) or ``"exact-warm"`` (float warm start +
-        rational certification — the fast exact rung).  Exact backends
-        re-solve LPs that share a constraint system (the refutation
-        witness loop, the threshold search) on one factorized basis
-        via :class:`~repro.lp.dual.IncrementalLP`.
-    widening_delay / narrowing_passes:
-        Invariant-engine tuning.
+        rational certification — the fast exact rung).  LPs that share
+        a constraint system (the refutation witness loop, the threshold
+        search) are always re-solved exactly, on one factorized basis
+        via :class:`~repro.lp.dual.IncrementalLP`, whatever this says.
 
     Every field is keyed into :attr:`repro.engine.jobs.AnalysisJob.key`,
     so a field here must be one that can change a reported result.
@@ -41,15 +39,12 @@ class AnalysisConfig:
     degree: int = 2
     max_products: int = 2
     lp_backend: str = "scipy"
-    widening_delay: int = 3
-    narrowing_passes: int = 2
 
     def __post_init__(self):
         # Overrides arrive as JSON (serve, coord): a string, float or
         # bool would otherwise be keyed as a config of its own and fail
         # (or silently run as 0/1) deep inside a worker.
-        for name in ("degree", "max_products", "widening_delay",
-                     "narrowing_passes"):
+        for name in ("degree", "max_products"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise AnalysisError(
@@ -59,12 +54,6 @@ class AnalysisConfig:
             raise AnalysisError("degree must be nonnegative")
         if self.max_products < 1:
             raise AnalysisError("max_products (K) must be at least 1")
-        # The engine compares visits > widening_delay and runs
-        # range(narrowing_passes): a negative value runs like 0 but
-        # would be keyed as a config of its own.
-        for name in ("widening_delay", "narrowing_passes"):
-            if getattr(self, name) < 0:
-                raise AnalysisError(f"{name} must be nonnegative")
         # Local import: repro.lp pulls in the polynomial layer, which
         # must not become an import-time dependency of plain configs.
         from repro.lp.backend import available_backends
@@ -256,24 +245,12 @@ class CoordConfig:
     dead_after:
         Consecutive missed heartbeats before a node is declared dead
         (its pending work is reassigned to healthy nodes).
-    quarantine_after:
-        Consecutive exhausted-retry request failures before a node is
-        quarantined (no new work until ``recover_after`` clean
-        heartbeats clear it).
-    recover_after:
-        Clean heartbeats a quarantined node needs to rejoin.
-    evict_after:
-        Seconds a node may stay dead before it is evicted from the
-        registry entirely.
     request_deadline:
         Per-request wall-clock budget of the coordinator's HTTP client
         (each analysis request, each retry attempt).
     client_retries:
         Transient-failure retry budget per node request (connection
         refused/reset, timeout, truncated body, 429/503 shedding).
-    backoff_base:
-        First retry backoff in seconds; subsequent retries double it
-        (bounded, with seeded jitter).
     client_seed:
         Seed of the retry-jitter RNG — two coordinator runs with the
         same seed sleep the same backoff schedule.
@@ -294,12 +271,8 @@ class CoordConfig:
     min_nodes: int = 1
     heartbeat_interval: float = 0.5
     dead_after: int = 3
-    quarantine_after: int = 3
-    recover_after: int = 2
-    evict_after: float = 300.0
     request_deadline: float = 120.0
     client_retries: int = 3
-    backoff_base: float = 0.05
     client_seed: int = 2022
     steal_after: float = 0.25
     drain_timeout: float = 10.0
@@ -315,18 +288,10 @@ class CoordConfig:
             raise AnalysisError("heartbeat_interval must be positive")
         if self.dead_after < 1:
             raise AnalysisError("dead_after must be at least 1")
-        if self.quarantine_after < 1:
-            raise AnalysisError("quarantine_after must be at least 1")
-        if self.recover_after < 1:
-            raise AnalysisError("recover_after must be at least 1")
-        if self.evict_after <= 0:
-            raise AnalysisError("evict_after must be positive")
         if self.request_deadline <= 0:
             raise AnalysisError("request_deadline must be positive")
         if self.client_retries < 0:
             raise AnalysisError("client_retries must be >= 0")
-        if self.backoff_base <= 0:
-            raise AnalysisError("backoff_base must be positive")
         if self.steal_after < 0:
             raise AnalysisError("steal_after must be >= 0")
         if self.drain_timeout <= 0:
@@ -385,30 +350,3 @@ class ObsConfig:
 
             setup_from_env()
 
-
-@dataclass
-class LintConfig:
-    """Knobs of the ``repro-diffcost lint`` static-analysis gate
-    (:mod:`repro.lint`).
-
-    Attributes
-    ----------
-    format:
-        Output rendering — ``"text"`` (one finding per line plus a
-        summary) or ``"json"`` (machine-readable findings + summary).
-    baseline:
-        Path of a baseline ratchet file; its fingerprints are
-        tolerated, anything new fails.  ``None`` means no ratchet.
-    show_suppressed:
-        Also print pragma-suppressed findings (text format only).
-    """
-
-    format: str = "text"
-    baseline: str | None = None
-    show_suppressed: bool = False
-
-    def __post_init__(self):
-        if self.format not in ("text", "json"):
-            raise AnalysisError(
-                f"lint format must be 'text' or 'json', got {self.format!r}"
-            )

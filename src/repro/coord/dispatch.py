@@ -18,7 +18,8 @@ but ownership is a scheduling preference, not an assignment:
   cache/in-flight dedupe absorbs most of the extra cost;
 - a pair lost to a dead node (connection refused/reset, exhausted
   retries, heartbeat death) is **requeued** and reassigned to whichever
-  healthy node claims it next;
+  healthy node claims it next — not to a node that already failed it
+  while another eligible node has not;
 - when eligible capacity drops below
   :attr:`~repro.config.CoordConfig.min_nodes`, the batch degrades
   gracefully: dispatch stops and the completed pairs come back as a
@@ -71,6 +72,8 @@ class PairTask:
     executions: int = 0
     result: dict[str, Any] | None = None
     error: str | None = None
+    #: Nodes a transient failure of this pair came from.
+    failed_on: set[str] = field(default_factory=set)
 
 
 class ClusterDispatch:
@@ -140,11 +143,19 @@ class ClusterDispatch:
     def _claim(self, node_url: str):
         """The next task for ``node_url``: own shard first, then steal
         pending from the biggest straggler shard, then a bounded
-        duplicate of the longest-in-flight pair."""
+        duplicate of the longest-in-flight pair.  A pending pair that
+        ``node_url`` failed is left to the other eligible nodes until
+        each of them has failed it too."""
         with self._lock:
             if self._aborted or not self._unresolved():
                 return _FINISHED
             pending = self._pending()
+            if any(node_url in task.failed_on for task in pending):
+                others = {node.url for node in self.registry.eligible()}
+                others.discard(node_url)
+                pending = [task for task in pending
+                           if node_url not in task.failed_on
+                           or others <= task.failed_on]
             choice = None
             own = [task for task in pending
                    if self.owner[task.shard] == node_url]
@@ -221,13 +232,16 @@ class ClusterDispatch:
             elif permanent:
                 task.state = "failed"
                 task.error = error
-            elif not task.owners:
-                # Last in-flight execution lost its node: requeue for
-                # reassignment onto whichever healthy node claims next.
-                task.state = "pending"
-                task.started = None
-                self.stats["requeues"] += 1
-                _LOG.warning("requeueing pair %s after %s", task.name, error)
+            else:
+                task.failed_on.add(node_url)
+                if not task.owners:
+                    # Last in-flight execution lost its node: requeue
+                    # for reassignment onto another healthy node.
+                    task.state = "pending"
+                    task.started = None
+                    self.stats["requeues"] += 1
+                    _LOG.warning("requeueing pair %s after %s", task.name,
+                                 error)
             self._check_finished()
 
     def _check_finished(self) -> None:

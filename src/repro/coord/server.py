@@ -130,16 +130,10 @@ class CoordinatorServer:
                  analysis: AnalysisConfig | None = None):
         self.coord = coord or CoordConfig()
         self.analysis = analysis or AnalysisConfig()
-        self.registry = NodeRegistry(
-            dead_after=self.coord.dead_after,
-            quarantine_after=self.coord.quarantine_after,
-            recover_after=self.coord.recover_after,
-            evict_after=self.coord.evict_after,
-        )
+        self.registry = NodeRegistry(dead_after=self.coord.dead_after)
         self.client = ResilientClient(
             deadline=self.coord.request_deadline,
             retries=self.coord.client_retries,
-            backoff_base=self.coord.backoff_base,
             seed=self.coord.client_seed,
         )
         #: Heartbeats use a short deadline decoupled from the (long)

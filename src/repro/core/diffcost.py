@@ -109,18 +109,10 @@ class DiffCostAnalyzer:
         with self.stopwatch.phase("invariants"):
             if self._old_invariants is None:
                 self._old_invariants = generate_invariants(
-                    self.old_system,
-                    hints=self._old_hints,
-                    widening_delay=self.config.widening_delay,
-                    narrowing_passes=self.config.narrowing_passes,
-                )
+                    self.old_system, hints=self._old_hints)
             if self._new_invariants is None:
                 self._new_invariants = generate_invariants(
-                    self.new_system,
-                    hints=self._new_hints,
-                    widening_delay=self.config.widening_delay,
-                    narrowing_passes=self.config.narrowing_passes,
-                )
+                    self.new_system, hints=self._new_hints)
         return self._old_invariants, self._new_invariants
 
     def combined_theta0(self) -> tuple[LinIneq, ...]:

@@ -33,6 +33,7 @@ from repro.lp.solution import LPStatus
 from repro.poly.linexpr import AffineExpr
 from repro.poly.template import TemplatePolynomial
 from repro.utils.naming import FreshNameGenerator
+from repro.utils.timers import Stopwatch
 
 PRECISION_SYMBOL = "p"
 
@@ -44,47 +45,47 @@ def analyze_single_program(program: ProgramLike,
     """Compute upper/lower cost bounds with a minimized precision gap."""
     config = config or DEFAULT_CONFIG
     system, hints = _unpack(program)
+    stopwatch = Stopwatch()
     if invariants is None:
-        invariants = generate_invariants(
-            system,
-            hints=hints,
-            widening_delay=config.widening_delay,
-            narrowing_passes=config.narrowing_passes,
+        with stopwatch.phase("invariants"):
+            invariants = generate_invariants(system, hints=hints)
+
+    with stopwatch.phase("constraints"):
+        fresh = FreshNameGenerator()
+        upper_templates = TemplateSet.build(system, config.degree, prefix="ub")
+        lower_templates = TemplateSet.build(system, config.degree, prefix="lb")
+        constraints = collect_certificate_constraints(
+            system, invariants, upper_templates, UPPER, fresh
+        )
+        constraints.extend(
+            collect_certificate_constraints(
+                system, invariants, lower_templates, LOWER, fresh
+            )
+        )
+        # Precision constraint: x ∈ Θ0 ⇒ p − φ(ℓ0,x) + χ(ℓ0,x) >= 0.
+        # This is the differential constraint applied to the program
+        # against itself, which is exactly how Section 7 derives it.
+        constraints.append(
+            differential_constraint(
+                tuple(system.init_constraint),
+                upper_templates.at(system.initial_location),
+                lower_templates.at(system.initial_location),
+                TemplatePolynomial.from_symbol(PRECISION_SYMBOL),
+                name="precision",
+            )
         )
 
-    fresh = FreshNameGenerator()
-    upper_templates = TemplateSet.build(system, config.degree, prefix="ub")
-    lower_templates = TemplateSet.build(system, config.degree, prefix="lb")
-    constraints = collect_certificate_constraints(
-        system, invariants, upper_templates, UPPER, fresh
-    )
-    constraints.extend(
-        collect_certificate_constraints(
-            system, invariants, lower_templates, LOWER, fresh
-        )
-    )
-    # Precision constraint: x ∈ Θ0 ⇒ p − φ(ℓ0,x) + χ(ℓ0,x) >= 0.  This
-    # is the differential constraint applied to the program against
-    # itself, which is exactly how Section 7 derives it.
-    constraints.append(
-        differential_constraint(
-            tuple(system.init_constraint),
-            upper_templates.at(system.initial_location),
-            lower_templates.at(system.initial_location),
-            TemplatePolynomial.from_symbol(PRECISION_SYMBOL),
-            name="precision",
-        )
-    )
+    with stopwatch.phase("encoding"):
+        model = LPModel()
+        encoding_fresh = FreshNameGenerator()
+        products = ProductTable()
+        for constraint in constraints:
+            encode_implication(constraint, model, encoding_fresh,
+                               config.max_products, products)
+        model.minimize(AffineExpr.variable(PRECISION_SYMBOL))
 
-    model = LPModel()
-    encoding_fresh = FreshNameGenerator()
-    products = ProductTable()
-    for constraint in constraints:
-        encode_implication(constraint, model, encoding_fresh,
-                           config.max_products, products)
-    model.minimize(AffineExpr.variable(PRECISION_SYMBOL))
-
-    solution = get_backend(config.lp_backend).solve(model)
+    with stopwatch.phase("lp"):
+        solution = get_backend(config.lp_backend).solve(model)
     if solution.status is not LPStatus.OPTIMAL:
         return SingleProgramResult(
             status=AnalysisStatus.UNKNOWN,
@@ -92,10 +93,12 @@ def analyze_single_program(program: ProgramLike,
                 f"LP {solution.status.value}: no certificate of the "
                 f"requested shape (d={config.degree}, K={config.max_products})"
             ),
+            timings=stopwatch.as_dict(),
         )
     return SingleProgramResult(
         status=AnalysisStatus.THRESHOLD,
         precision=solution.value(PRECISION_SYMBOL),
         upper=extract_certificate(upper_templates, solution, POTENTIAL),
         lower=extract_certificate(lower_templates, solution, ANTI_POTENTIAL),
+        timings=stopwatch.as_dict(),
     )

@@ -15,15 +15,16 @@ default) and keep the best certified gap.
 Every witness shares the same constraint system — only the objective
 (the gap at that witness) changes.  The loop therefore runs the
 Handelman expansion and ``encode_implication`` **once** and swaps
-objectives: exact backends re-solve through
-:class:`~repro.lp.dual.IncrementalLP`, which exchanges one LU/eta
+objectives, re-solving through :class:`~repro.lp.dual.IncrementalLP`
+whatever ``lp_backend`` says: a refutation is a proof, so its gap is
+always an exact ``Fraction``.  The loop exchanges one LU/eta
 factorization onto a HiGHS-nominated basis per witness and certifies
 it by exact pricing instead of solving cold — one factorization and
 one HiGHS model, whose costs change per witness, amortized over up to
-33 witness LPs; float backends re-solve the shared model.  The
-certified gaps do not depend on the basis path: the optimal value of
-an LP is unique.  ``repro.bench.perf`` checks this against a cold
-reference that solves each witness in a call of its own.
+33 witness LPs.  The certified gaps do not depend on the basis path:
+the optimal value of an LP is unique.  ``repro.bench.perf`` checks
+this against a cold reference that solves each witness in a call of
+its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.core.results import AnalysisStatus, RefutationResult
 from repro.handelman.encode import encode_implication
 from repro.handelman.products import ProductTable
 from repro.invariants.polyhedron import Polyhedron
-from repro.lp.backend import backend_is_exact, get_backend
 from repro.lp.dual import IncrementalLP
 from repro.lp.model import LPModel
 from repro.lp.solution import LPStatus
@@ -162,15 +162,11 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
                 analyzer.config.max_products, products,
             )
 
-    exact = backend_is_exact(analyzer.config.lp_backend)
-    best_gap: Fraction | float | None = None
+    best_gap: Fraction | None = None
     best_witness: dict[str, int] | None = None
     best_solution = None
     with stopwatch.phase("lp"):
-        if exact:
-            inc = IncrementalLP(model)
-        else:
-            backend = get_backend(analyzer.config.lp_backend)
+        inc = IncrementalLP(model)
         for witness in witnesses:
             chi_at_witness = new_templates.at(
                 analyzer.new_system.initial_location
@@ -179,29 +175,17 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
                 analyzer.old_system.initial_location
             ).evaluate_program_vars(witness)
             objective = chi_at_witness - phi_at_witness
-            if exact:
-                solution = inc.maximize(objective)
-            else:
-                model.maximize(objective)
-                solution = backend.solve(model)
+            solution = inc.maximize(objective)
             if solution.status is not LPStatus.OPTIMAL:
                 continue
-            if exact:
-                gap = objective.evaluate(
-                    {name: solution.value(name)
-                     for name in objective.symbols}
-                )
-            else:  # maximize() negated the objective
-                gap = -float(solution.objective_value)  # lint: allow[float-cast]
-            # Exact comparison: Fractions (and mixed Fraction/float)
-            # compare exactly in Python; casting exact gaps through float
-            # could rank two distinct rationals as equal and mis-pick the
-            # witness.
+            gap = objective.evaluate(
+                {name: solution.value(name) for name in objective.symbols}
+            )
             if best_gap is None or gap > best_gap:
                 best_gap = gap
                 best_witness = witness
                 best_solution = solution
-    lp_stats = dict(inc.stats) if exact else {"solves": len(witnesses)}
+    lp_stats = dict(inc.stats)
     timings = stopwatch.as_dict()
 
     if best_gap is None:

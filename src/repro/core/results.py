@@ -61,6 +61,8 @@ class BoundProofResult:
     potential_new: PotentialFunction | None = None
     anti_potential_old: PotentialFunction | None = None
     message: str = ""
+    #: Seconds per stage, as for threshold synthesis.
+    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def is_proved(self) -> bool:
@@ -75,7 +77,8 @@ class RefutationResult:
     status: AnalysisStatus
     candidate: float | Fraction | None = None
     witness_input: dict[str, int] | None = None
-    guaranteed_difference: float | Fraction | None = None
+    #: The best exactly certified gap over the witnesses.
+    guaranteed_difference: Fraction | None = None
     anti_potential_new: PotentialFunction | None = None
     potential_old: PotentialFunction | None = None
     message: str = ""
@@ -112,6 +115,9 @@ class SingleProgramResult:
     upper: PotentialFunction | None = None
     lower: PotentialFunction | None = None
     message: str = ""
+    #: Seconds per stage, as for threshold synthesis (no
+    #: ``invariants`` entry when the caller supplied the map).
+    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def is_bounded(self) -> bool:

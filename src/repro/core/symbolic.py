@@ -64,6 +64,7 @@ def prove_symbolic_bound(old: ProgramLike, new: ProgramLike,
                 f"LP {solution.status.value}: no certificate of the requested "
                 f"shape; the bound may still hold"
             ),
+            timings=analyzer.stopwatch.as_dict(),
         )
     return BoundProofResult(
         status=AnalysisStatus.PROVED,
@@ -72,4 +73,5 @@ def prove_symbolic_bound(old: ProgramLike, new: ProgramLike,
         anti_potential_old=extract_certificate(
             old_templates, solution, ANTI_POTENTIAL
         ),
+        timings=analyzer.stopwatch.as_dict(),
     )

@@ -21,11 +21,6 @@ SQLite error on a read is a plain miss that leaves the entry in place.
 Each process opens its own connection on first use: connections are
 closed around ``os.fork`` (see ``_HANDLES``) and reopened when
 ``os.getpid()`` changes.  One lock serialises a handle across threads.
-
-A directory of ``<key>.json`` entry files (the format before this
-store) is read, never written: its trusted entries are imported once
-when it is opened without a ``cache.sqlite3``, and
-:meth:`ResultCache.merge_from` reads such a source the same way.
 """
 
 from __future__ import annotations
@@ -124,11 +119,8 @@ class ResultCache:
         self._conn: sqlite3.Connection | None = None
         self._pid = 0
         _HANDLES.add(self)
-        legacy = [] if self.path.exists() else list(
-            _source_rows(self.directory, store=False))
         self.corrupt_swept = self._sweep_corrupt()
         self._query("SELECT 1")  # fail fast on a file that is no cache
-        self._fold(legacy, overwrite=False)
 
     # -- the connection ----------------------------------------------------
 
@@ -301,17 +293,17 @@ class ResultCache:
         (first writer wins unless ``overwrite``); returns how many were
         copied.  Merging the caches of ``batch --shard k/n`` runs yields
         the cache an unsharded run would have produced.  The source is
-        only read; a missing one raises :class:`AnalysisError`.
+        only read; one without a store raises :class:`AnalysisError`.
         Untrusted entries are counted in :attr:`merge_skipped`, so a
         shard cache a fault chewed on cannot spread damage."""
         source_dir = Path(source)
-        if not source_dir.is_dir():
+        if not (source_dir / DB_NAME).is_file():
             raise AnalysisError(
-                f"cache directory {str(source_dir)!r} does not exist")
+                f"cache directory {str(source_dir)!r} does not exist "
+                f"or holds no {DB_NAME}")
         if source_dir.resolve() == self.directory.resolve():
             return 0
-        return self._fold(_source_rows(
-            source_dir, store=(source_dir / DB_NAME).exists()), overwrite)
+        return self._fold(_source_rows(source_dir), overwrite)
 
     def _fold(self, rows: Iterator[tuple[str, float, bytes]],
               overwrite: bool) -> int:
@@ -497,20 +489,10 @@ def _parse(raw: Any) -> Any:
         return None
 
 
-def _source_rows(directory: Path,
-                 store: bool) -> Iterator[tuple[str, float, bytes]]:
-    """``(key, ts, raw bytes)`` of every entry in a cache directory, in
-    key order, read-only: its ``mode=ro`` table when ``store``, else its
-    legacy ``<key>.json`` files stamped with their mtime."""
+def _source_rows(directory: Path) -> Iterator[tuple[str, float, bytes]]:
+    """``(key, ts, raw bytes)`` of every entry in a cache directory's
+    store, in key order, read through a ``mode=ro`` connection."""
     path = directory / DB_NAME
-    if not store:
-        for file in sorted(directory.glob("[!.]*.json")):
-            try:
-                row = file.stem, file.stat().st_mtime, file.read_bytes()
-            except OSError:
-                continue
-            yield row
-        return
     try:
         with contextlib.closing(sqlite3.connect(
                 f"{path.resolve().as_uri()}?mode=ro", uri=True,

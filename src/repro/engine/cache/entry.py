@@ -1,8 +1,8 @@
 """The cache entry schema, shared by the store and federation.
 
 One *entry* is the JSON object stored for one job key — a row of the
-SQLite store, a legacy ``<key>.json`` file, a federation delta record's
-``"entry"`` — always exactly this shape::
+SQLite store or a federation delta record's ``"entry"`` — always
+exactly this shape::
 
     {"version": JOB_SCHEMA_VERSION,
      "job": {"kind": ..., "name": ..., "config": {...}, "lp_solver": {...}},
@@ -26,7 +26,7 @@ from repro.engine.jobs import JOB_SCHEMA_VERSION, AnalysisJob, JobResult
 #:
 #: - ``"ok"``: replayable — current schema version, checksum verifies.
 #: - ``"stale"``: structurally sound but never replayable — a schema
-#:   version mismatch or a pre-checksum legacy entry.  A *plain miss*:
+#:   version mismatch or an entry without a checksum.  A *plain miss*:
 #:   the entry is dead weight (rewritten on the next store), but not
 #:   evidence of damage, so it is never quarantined — and never worth
 #:   copying in a merge or a federation delta.
@@ -74,7 +74,8 @@ def classify_entry(entry: Any) -> str:
         return ENTRY_STALE
     checksum = entry.get("checksum")
     if checksum is None:
-        # A legacy (pre-checksum) entry: unverifiable bytes.
+        # No checksum (an old writer's row, or a federation record
+        # from outside): unverifiable bytes.
         return ENTRY_STALE
     if checksum != result_checksum(entry.get("result")):
         return ENTRY_CORRUPT

@@ -285,7 +285,7 @@ def run_job(job: AnalysisJob) -> JobResult:
         result.threshold = float(threshold)
         if isinstance(threshold, Fraction):
             result.threshold_str = str(threshold)
-    result.timings = dict(getattr(analysis, "timings", {}) or {})
+    result.timings = dict(analysis.timings)
     result.seconds = time.perf_counter() - start
     result.analysis = analysis
     return result

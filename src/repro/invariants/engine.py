@@ -3,8 +3,9 @@
 Standard Cousot-style analysis: start from Θ0 at the initial location,
 propagate through transitions with the polyhedral transfer function,
 join at merge points, widen at widening points (targets of back edges)
-after a configurable delay, then run a few narrowing (descending)
-passes to recover precision lost to widening.
+after :data:`WIDENING_DELAY` visits, then run up to
+:data:`NARROWING_PASSES` narrowing (descending) passes to recover
+precision lost to widening.
 """
 
 from __future__ import annotations
@@ -15,20 +16,22 @@ from repro.ts.system import Location, TransitionSystem
 #: A safety bound on the ascending iteration's worklist steps.
 MAX_ITERATIONS = 10_000
 
+#: Joins at a back-edge target before the engine widens there.
+WIDENING_DELAY = 3
+
+#: Descending passes after the ascending iteration stabilizes.
+NARROWING_PASSES = 2
+
 
 class FixpointEngine:
     """Computes one polyhedron per location over-approximating
     reachability, widening at a back-edge target after
-    ``widening_delay`` visits and then running ``narrowing_passes``
-    descending passes."""
+    :data:`WIDENING_DELAY` visits and then running
+    :data:`NARROWING_PASSES` descending passes."""
 
     def __init__(self, system: TransitionSystem,
-                 widening_delay: int = 3,
-                 narrowing_passes: int = 2,
                  hints: dict[str, tuple] | None = None):
         self.system = system
-        self.widening_delay = widening_delay
-        self.narrowing_passes = narrowing_passes
         # Hints (trusted annotations) are conjoined at their location on
         # every propagation, mirroring the paper's manual strengthening.
         self.hints = {
@@ -100,7 +103,7 @@ class FixpointEngine:
                 joined = old.join(post)
                 visits[target] = visits.get(target, 0) + 1
                 if (target in widening_points
-                        and visits[target] > self.widening_delay):
+                        and visits[target] > WIDENING_DELAY):
                     joined = old.widen(joined)
                 # No reduce() here: redundant-but-stable constraints
                 # (e.g. i <= n+1 alongside a transient i <= 1) must stay
@@ -112,7 +115,7 @@ class FixpointEngine:
 
         # Narrowing: re-propagate without widening; intersect with the
         # computed post to claw back precision (finitely many passes).
-        for _ in range(self.narrowing_passes):
+        for _ in range(NARROWING_PASSES):
             changed = False
             for location in self.system.locations:
                 if location == self.system.initial_location:

@@ -44,8 +44,7 @@ class InvariantMap:
 
 def generate_invariants(system: TransitionSystem,
                         hints: dict[str, tuple[LinIneq, ...]] | None = None,
-                        widening_delay: int = 3,
-                        narrowing_passes: int = 2) -> InvariantMap:
+                        ) -> InvariantMap:
     """Generate affine invariants for ``system``.
 
     ``hints`` maps location names to *trusted* inequality conjunctions
@@ -53,5 +52,5 @@ def generate_invariants(system: TransitionSystem,
     conjoined during propagation, exactly like the paper's manual
     strengthening of Aspic/Sting output (the ``*`` rows of Table 1).
     """
-    engine = FixpointEngine(system, widening_delay, narrowing_passes, hints)
+    engine = FixpointEngine(system, hints)
     return InvariantMap(system, engine.run())

@@ -1,7 +1,7 @@
 """Test helpers that read and damage a result cache's stored rows from
 outside :class:`~repro.engine.cache.ResultCache` — the way bit rot, an
-old writer or a crashed process would — plus the legacy ``<key>.json``
-layout the store imports from."""
+old writer or a crashed process would — plus the ``<key>.json`` layout
+caches had before the store, which no reader accepts any more."""
 
 import contextlib
 import json

@@ -258,10 +258,12 @@ class TestCoordinatorFederation:
     async def _drive(self, tmp_path, node_urls):
         coordinator = CoordinatorServer(
             CoordConfig(port=0, nodes=tuple(node_urls),
-                        heartbeat_interval=30.0, client_retries=1,
-                        backoff_base=0.001),
+                        heartbeat_interval=30.0, client_retries=1),
             FAST,
         )
+        coordinator.client = ResilientClient(
+            deadline=coordinator.coord.request_deadline, retries=1,
+            backoff_base=0.001, seed=coordinator.coord.client_seed)
         await coordinator.start()
         try:
             reader, writer = await asyncio.open_connection(

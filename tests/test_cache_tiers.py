@@ -1,6 +1,5 @@
-"""The result cache: hot LRU, the SQLite store, legacy import,
-maintenance, the process/thread model, and the cache-correctness
-bugfix regressions.
+"""The result cache: hot LRU, the SQLite store, maintenance, the
+process/thread model, and the cache-correctness bugfix regressions.
 
 The invariants under test, per tier:
 
@@ -10,9 +9,9 @@ The invariants under test, per tier:
   reopen needs no per-entry files, compaction and age-bounded eviction
   never lose a live verified entry, a crash mid-commit costs only the
   unfinished write;
-- **facade**: legacy entry-file directories import transparently,
-  ``merge_from`` copies only entries ``get`` would trust and never
-  writes its source, transient read errors are plain misses (never
+- **facade**: ``merge_from`` copies only entries ``get`` would trust,
+  reads only a store and never writes its source, transient read
+  errors are plain misses (never
   quarantine), quarantine files age out and are visible in ``stats()``,
   and one handle survives ``fork`` and concurrent threads.
 """
@@ -262,45 +261,6 @@ class TestWarmStore:
             ResultCache(directory)
 
 
-class TestLegacyMigration:
-    """Directories of ``<key>.json`` files — the layout before the
-    SQLite store — are imported read-only."""
-
-    def test_legacy_directory_migrates_transparently(self, tmp_path):
-        directory = tmp_path / "cache"
-        files = {}
-        for index in range(5):
-            key, entry = legacy_entry(index)
-            files[key] = write_legacy(directory, key, entry).read_bytes()
-        cache = ResultCache(directory)
-        assert len(cache) == 5
-        for index in range(5):
-            assert cache.get(job(index).key).threshold == float(index)
-        # Read, never written: the files are exactly as they were.
-        for key, data in files.items():
-            assert (directory / f"{key}.json").read_bytes() == data
-        # The import ran once: a row dropped afterwards stays dropped.
-        delete_row(directory, job(0).key)
-        assert ResultCache(directory).get(job(0).key) is None
-
-    def test_import_skips_corrupt_and_stale_entries(self, tmp_path):
-        directory = tmp_path / "cache"
-        intact_key, intact = legacy_entry(0)
-        rotten_key, rotten = legacy_entry(1)
-        stale_key, stale = legacy_entry(2)
-        rotten["result"]["threshold"] = 999.0  # bit rot: checksum fails
-        del stale["checksum"]  # pre-checksum entry: unverifiable
-        for key, entry in ((intact_key, intact), (rotten_key, rotten),
-                           (stale_key, stale)):
-            write_legacy(directory, key, entry)
-        cache = ResultCache(directory)
-        assert stored_keys(directory) == [intact_key]
-        assert cache.merge_skipped == 2
-        assert cache.get(intact_key).threshold == 0.0
-        assert cache.get(rotten_key) is None
-        assert (directory / f"{rotten_key}.json").exists()
-
-
 class TestMergeTrust:
     def test_merge_skips_stale_legacy_entries(self, tmp_path):
         """Regression: ``merge_from`` used to copy checksum-less and
@@ -323,16 +283,20 @@ class TestMergeTrust:
         assert len(destination) == 1
         assert destination.get(keys[2]) is not None
 
-    def test_merge_reads_both_source_formats(self, tmp_path):
+    def test_merge_reads_a_store_and_refuses_a_storeless_directory(
+            self, tmp_path):
         store_keys = fill(ResultCache(tmp_path / "store-source"), 2)
+        # Entry files without a store (the layout before it) are not a
+        # cache: the merge names the source and copies nothing.
         legacy_key, entry = legacy_entry(7)
         write_legacy(tmp_path / "legacy-source", legacy_key, entry)
         destination = ResultCache(tmp_path / "destination")
-        copied = destination.merge_from(tmp_path / "store-source")
-        copied += destination.merge_from(tmp_path / "legacy-source")
-        assert copied == 3
-        for key in (*store_keys, legacy_key):
+        assert destination.merge_from(tmp_path / "store-source") == 2
+        with pytest.raises(AnalysisError, match="legacy-source"):
+            destination.merge_from(tmp_path / "legacy-source")
+        for key in store_keys:
             assert destination.get(key) is not None
+        assert destination.get(legacy_key) is None
         assert len(ResultCache(tmp_path / "store-source")) == 2
         assert not (tmp_path / "legacy-source" / DB_NAME).exists()
 
@@ -520,17 +484,6 @@ class TestCacheCLI:
             "--cache-dir", str(directory), "--max-age-s", "0")
         assert code == 0
         assert "evicted 2 entries" in out
-
-    def test_migration_via_warm_open(self, tmp_path, capsys):
-        """Opening a legacy directory imports it, whichever command
-        opens it first."""
-        for index in range(4):
-            write_legacy(tmp_path / "cache", *legacy_entry(index))
-        code, out, _err = self.run_cli(
-            capsys, "cache", "stats",
-            "--cache-dir", str(tmp_path / "cache"))
-        assert code == 0
-        assert json.loads(out)["entries"] == 4
 
     def test_stats_on_a_missing_directory_fails_and_creates_nothing(
             self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.suite import pair_sources
 from repro.cli import build_parser, main
 
 OLD = """
@@ -85,6 +86,25 @@ class TestBoundRefuteSingle:
     def test_refute_valid_threshold(self, program_files):
         old, new = program_files
         assert main(["refute", old, new, "--candidate", "10"]) == 1
+
+    def test_refute_never_refutes_a_tight_threshold(self, tmp_path,
+                                                     capsys):
+        # diff proves t = 99 on ex6; a float optimum of
+        # 99.00000000000001 used to "refute" it.
+        paths = []
+        for side, source in zip(("old", "new"), pair_sources("ex6")):
+            paths.append(tmp_path / f"ex6_{side}.imp")
+            paths[-1].write_text(source)
+        assert main(["refute", *map(str, paths), "--candidate", "99"]) == 1
+        assert "does not exceed candidate 99" in capsys.readouterr().out
+
+    def test_refute_has_no_backend_option(self, program_files, capsys):
+        old, new = program_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["refute", old, new, "--candidate", "5",
+                  "--backend", "scipy"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_single(self, program_files, capsys):
         old, _ = program_files

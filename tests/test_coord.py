@@ -44,7 +44,7 @@ from repro.coord import (
     shard_report,
 )
 from repro.engine import run_batch
-from repro.engine.batch import batch_to_json
+from repro.engine.batch import batch_to_json, discover_pairs
 from repro.faults import FaultPlan, set_plan
 from repro.serve import AnalysisServer, canonical_json
 
@@ -387,22 +387,17 @@ class TestClusterBatch:
                         min_nodes=1, node_concurrency=2,
                         heartbeat_interval=0.05, dead_after=2,
                         request_deadline=60.0, client_retries=2,
-                        backoff_base=0.01, steal_after=0.05)
+                        steal_after=0.05)
         settings.update(overrides)
         return CoordConfig(**settings)
 
     def cluster(self, coord):
-        registry = NodeRegistry(
-            dead_after=coord.dead_after,
-            quarantine_after=coord.quarantine_after,
-            recover_after=coord.recover_after,
-            evict_after=coord.evict_after,
-        )
+        registry = NodeRegistry(dead_after=coord.dead_after)
         for url in coord.nodes:
             registry.register(url)
         client = ResilientClient(
             deadline=coord.request_deadline, retries=coord.client_retries,
-            backoff_base=coord.backoff_base, seed=coord.client_seed,
+            backoff_base=0.01, seed=coord.client_seed,
         )
         return registry, client
 
@@ -579,6 +574,47 @@ class TestClusterBatch:
         if cluster["steals"]:
             assert get_registry().counter(
                 "repro_coord_steals_total").value() >= cluster["steals"]
+
+
+class TestRequeue:
+    """A transiently failed pair goes back to ``pending``; the node that
+    failed it leaves it to another eligible node."""
+
+    def dispatch(self, tmp_path, urls):
+        _write_pairs(tmp_path / "batch", PAIRS[:1])
+        registry = NodeRegistry()
+        for url in urls:
+            registry.register(url)
+        return ClusterDispatch(discover_pairs(str(tmp_path / "batch")),
+                               FAST, registry, ResilientClient(),
+                               CoordConfig(min_nodes=1))
+
+    def test_requeued_pair_leaves_the_node_that_failed_it(self, tmp_path):
+        dispatch = self.dispatch(tmp_path, ["127.0.0.1:1", "127.0.0.1:2"])
+        [task] = dispatch.tasks
+        node_a = dispatch.owner[task.shard]
+        [node_b] = set(dispatch.owner.values()) - {node_a}
+        assert dispatch._claim(node_a) is task
+        dispatch._fail(node_a, task, "connection refused", permanent=False)
+        assert task.state == "pending"
+        assert dispatch.stats["requeues"] == 1
+        # Its own shard's pair, but B is eligible and has not failed it.
+        assert dispatch._claim(node_a) is None
+        assert dispatch._claim(node_b) is task
+        stats = dispatch.stats
+        assert stats["steals"] + stats["reassigned"] == 1
+        assert stats["executions"] == 2
+        assert (stats["steals"] + stats["reassigned"]
+                + stats["duplicates"]) <= stats["executions"]
+
+    def test_a_lone_node_takes_its_failed_pair_back(self, tmp_path):
+        dispatch = self.dispatch(tmp_path, ["127.0.0.1:1"])
+        [task] = dispatch.tasks
+        node = dispatch.owner[task.shard]
+        assert dispatch._claim(node) is task
+        dispatch._fail(node, task, "connection refused", permanent=False)
+        assert dispatch._claim(node) is task
+        assert dispatch.stats["executions"] == 2
 
 
 # -- the coordinator HTTP surface -------------------------------------------

@@ -6,6 +6,7 @@ import signal
 import pytest
 
 from cache_rows import write_entry_bytes
+from repro.bench.suite import pair_sources
 from repro.config import AnalysisConfig, EngineConfig
 from repro.engine import (
     AnalysisJob,
@@ -20,6 +21,7 @@ from repro.engine import (
     select_result,
 )
 from repro.engine.executor import JobTimeoutError
+from repro.engine.jobs import run_job
 from repro.errors import AnalysisError
 
 OLD = """
@@ -53,8 +55,7 @@ class TestJobModel:
         assert make_job().key != make_job(config=AnalysisConfig()).key
         assert (
             make_job().key
-            != make_job(config=AnalysisConfig(degree=1, max_products=1,
-                                              widening_delay=4)).key
+            != make_job(config=AnalysisConfig(degree=2, max_products=1)).key
         )
 
     def test_key_changes_with_sources_and_kind(self):
@@ -88,6 +89,20 @@ class TestJobModel:
         assert result.status == "ok"
         assert result.outcome == "refuted"
         # The refute stages share the diff stages' names.
+        assert set(result.timings) == {"invariants", "constraints",
+                                       "encoding", "lp"}
+        assert all(seconds >= 0 for seconds in result.timings.values())
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("diff", {}), ("bound", {"bound": "100"}),
+        ("refute", {"candidate": 98.0}), ("single", {"new_source": None}),
+    ], ids=["diff", "bound", "refute", "single"])
+    def test_every_kind_reports_the_same_stages(self, kind, extra):
+        old, new = pair_sources("ex2")
+        job = AnalysisJob(**{"kind": kind, "old_source": old,
+                             "new_source": new, "name": "ex2", **extra})
+        result = run_job(job)
+        assert result.outcome in ("threshold", "proved", "refuted")
         assert set(result.timings) == {"invariants", "constraints",
                                        "encoding", "lp"}
         assert all(seconds >= 0 for seconds in result.timings.values())

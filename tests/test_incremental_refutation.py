@@ -75,9 +75,8 @@ class TestIncrementalRefutationEquivalence:
 
     def test_scipy_backend_shares_the_single_encoding(self, dis2_pair,
                                                       monkeypatch):
-        # The one-encode loop is backend-independent: float backends
-        # share the encoding too (cold solves, swapped objectives) and
-        # must keep producing the same refutations as the reference.
+        # A scipy config changes nothing: the loop still encodes once
+        # and re-solves every witness exactly, like the reference.
         old, new = dis2_pair
         encoded = []
         original = refutation.encode_implication
@@ -91,7 +90,9 @@ class TestIncrementalRefutationEquivalence:
             old, new, 0, AnalysisConfig(lp_backend="scipy")
         )
         assert result.is_refuted
+        assert isinstance(result.guaranteed_difference, Fraction)
         assert result.lp_stats["solves"] >= 3
+        assert result.lp_stats["cold_solves"] == 1
         # Each implication is encoded once, not once per witness.
         assert encoded and len(encoded) == len(set(map(id, encoded)))
         cold = refute_per_witness(
@@ -99,6 +100,7 @@ class TestIncrementalRefutationEquivalence:
         )
         assert cold.is_refuted
         assert cold.witness_input == result.witness_input
+        assert cold.guaranteed_difference == result.guaranteed_difference
 
 
 class TestRefutationWorkGuard:

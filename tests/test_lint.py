@@ -24,8 +24,6 @@ import pytest
 import repro
 import repro.lp.basis as basis_mod
 from repro.cli import main as cli_main
-from repro.config import LintConfig
-from repro.errors import AnalysisError
 from repro.lint import (
     Contracts,
     ExactnessViolation,
@@ -293,9 +291,11 @@ class TestDriver:
         assert cli_main(["lint", str(dirty),
                          "--baseline", str(baseline)]) == 0
 
-    def test_lint_config_validates_format(self):
-        with pytest.raises(AnalysisError):
-            LintConfig(format="yaml")
+    def test_lint_config_validates_format(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["lint", "--format", "yaml"])
+        assert exit_info.value.code == 2
+        assert "yaml" in capsys.readouterr().err
 
 
 @pytest.fixture

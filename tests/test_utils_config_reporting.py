@@ -104,14 +104,16 @@ class TestAnalysisConfig:
         # up front, naming the field — bools too, though bool is an int.
         for field, value in (("degree", "3"), ("degree", 2.5),
                              ("degree", True), ("max_products", 1.5),
-                             ("widening_delay", "x"),
-                             ("narrowing_passes", None),
-                             ("widening_delay", -5),
-                             ("narrowing_passes", -1)):
+                             ("max_products", None),
+                             ("max_products", False)):
             with pytest.raises(AnalysisError, match=field):
                 AnalysisConfig(**{field: value})
-        # Zero stays valid for both engine knobs.
-        AnalysisConfig(widening_delay=0, narrowing_passes=0)
+        # Zero stays a valid degree: constant templates.
+        AnalysisConfig(degree=0)
+        # The widening knobs are engine constants, not fields.
+        for retired in ("widening_delay", "narrowing_passes"):
+            with pytest.raises(TypeError, match=retired):
+                AnalysisConfig(**{retired: 3})
 
 
 class TestReporting:
