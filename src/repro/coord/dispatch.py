@@ -18,8 +18,11 @@ but ownership is a scheduling preference, not an assignment:
   cache/in-flight dedupe absorbs most of the extra cost;
 - a pair lost to a dead node (connection refused/reset, exhausted
   retries, heartbeat death) is **requeued** and reassigned to whichever
-  healthy node claims it next — not to a node that already failed it
-  while another eligible node has not;
+  healthy node claims it next.  A node whose request failed claims no
+  pending pair until it answers again (a heartbeat or a request) while
+  another node of the batch does, so a dead node is not handed its
+  shard's other pairs one refused request at a time before the monitor
+  rules it dead;
 - when eligible capacity drops below
   :attr:`~repro.config.CoordConfig.min_nodes`, the batch degrades
   gracefully: dispatch stops and the completed pairs come back as a
@@ -35,6 +38,7 @@ gates under node kills and ``net.*`` fault plans.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -72,8 +76,6 @@ class PairTask:
     executions: int = 0
     result: dict[str, Any] | None = None
     error: str | None = None
-    #: Nodes a transient failure of this pair came from.
-    failed_on: set[str] = field(default_factory=set)
 
 
 class ClusterDispatch:
@@ -92,6 +94,10 @@ class ClusterDispatch:
         self.client = client
         self.coord = coord
         self.config = config
+        #: The nodes this batch runs on, one claim loop per node and
+        #: worker slot (see :meth:`run`); a node registered later joins
+        #: the next batch.
+        self.nodes = tuple(node.url for node in registry.nodes())
         self.shards = shards or len(owners)
         if self.shards < 1:
             raise AnalysisError("shards must be at least 1")
@@ -118,6 +124,8 @@ class ClusterDispatch:
         self._lock = threading.Lock()
         self._finished = threading.Event()
         self._aborted = False
+        #: Node URL -> when its last analyze request failed.
+        self._failed_at: dict[str, float] = {}
         self.stats = {
             "steals": 0,
             "reassigned": 0,
@@ -140,22 +148,29 @@ class ClusterDispatch:
         self.stats[counter] += 1
         get_registry().counter(metric, help_text).inc()
 
+    def _answering(self) -> set[str]:
+        """This batch's eligible nodes, less those that have not
+        answered (a heartbeat or a request) since their last failed
+        analyze request."""
+        # Lock held by callers.
+        return {node.url for node in self.registry.eligible()
+                if node.url in self.nodes
+                and node.last_ok > self._failed_at.get(node.url, -math.inf)}
+
     def _claim(self, node_url: str):
         """The next task for ``node_url``: own shard first, then steal
-        pending from the biggest straggler shard, then a bounded
-        duplicate of the longest-in-flight pair.  A pending pair that
-        ``node_url`` failed is left to the other eligible nodes until
-        each of them has failed it too."""
+        pending from the biggest straggler shard, then, when nothing is
+        pending, a bounded duplicate of the longest-in-flight pair.  A
+        node that has not answered since its last failed request leaves
+        pending pairs to the nodes that have, if any."""
         with self._lock:
             if self._aborted or not self._unresolved():
                 return _FINISHED
             pending = self._pending()
-            if any(node_url in task.failed_on for task in pending):
-                others = {node.url for node in self.registry.eligible()}
-                others.discard(node_url)
-                pending = [task for task in pending
-                           if node_url not in task.failed_on
-                           or others <= task.failed_on]
+            if pending and node_url in self._failed_at:
+                answering = self._answering()
+                if answering and node_url not in answering:
+                    return None
             choice = None
             own = [task for task in pending
                    if self.owner[task.shard] == node_url]
@@ -233,10 +248,11 @@ class ClusterDispatch:
                 task.state = "failed"
                 task.error = error
             else:
-                task.failed_on.add(node_url)
+                self._failed_at[node_url] = time.monotonic()
                 if not task.owners:
                     # Last in-flight execution lost its node: requeue
-                    # for reassignment onto another healthy node.
+                    # for reassignment onto whichever healthy node
+                    # claims next.
                     task.state = "pending"
                     task.started = None
                     self.stats["requeues"] += 1
@@ -322,10 +338,10 @@ class ClusterDispatch:
             return
         threads = [
             threading.Thread(
-                target=self._node_loop, args=(node.url,), daemon=True,
-                name=f"coord-node-{node.address}-{worker}",
+                target=self._node_loop, args=(url,), daemon=True,
+                name=f"coord-node-{url.split('://', 1)[-1]}-{worker}",
             )
-            for node in self.registry.nodes()
+            for url in self.nodes
             for worker in range(self.coord.node_concurrency)
         ]
         for thread in threads:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Any
 
@@ -31,6 +31,12 @@ from repro.lp.backend import LP_SOLVER_REVISION
 JOB_SCHEMA_VERSION = 1
 
 JOB_KINDS = ("diff", "bound", "refute", "single")
+
+#: The ``lp_backend`` every refute job is keyed and reported under:
+#: refutation solves exactly whatever the config says, so two refute
+#: jobs that differ only in ``lp_backend`` are one computation, and
+#: the warm-started exact rung names the arithmetic that runs.
+REFUTE_BACKEND = "exact-warm"
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,7 @@ class AnalysisJob:
         ``None`` for ``single`` jobs).
     config:
         The analysis configuration; any field change changes the key.
+        A refute job's ``lp_backend`` is always :data:`REFUTE_BACKEND`.
     name:
         Display name (e.g. the benchmark pair name).  Not keyed.
     bound:
@@ -75,6 +82,9 @@ class AnalysisJob:
             raise AnalysisError("bound jobs need a bound polynomial")
         if self.kind == "refute" and self.candidate is None:
             raise AnalysisError("refute jobs need a candidate threshold")
+        if self.kind == "refute" and self.config.lp_backend != REFUTE_BACKEND:
+            object.__setattr__(self, "config", replace(
+                self.config, lp_backend=REFUTE_BACKEND))
 
     # -- content addressing ------------------------------------------------
 

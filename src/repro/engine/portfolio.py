@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config import AnalysisConfig
 from repro.engine.executor import ParallelExecutor
-from repro.engine.jobs import AnalysisJob, JobResult
+from repro.engine.jobs import REFUTE_BACKEND, AnalysisJob, JobResult
 from repro.errors import AnalysisError
 from repro.obs import get_logger, get_registry
 
@@ -187,11 +187,6 @@ def portfolio_jobs(old_source: str, new_source: str, name: str,
         )
     return jobs
 
-
-#: Exact backend used by refutation probes: the gap certificates must
-#: be `Fraction`s for the tightness comparison to be sound, and the
-#: warm-started rung is the fastest exact solver.
-REFUTE_BACKEND = "exact-warm"
 
 #: Slack of the tightness probe: a refuted ``T - 1`` certifies an
 #: integer-cost program's threshold ``T`` exactly tight.

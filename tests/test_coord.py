@@ -577,28 +577,35 @@ class TestClusterBatch:
 
 
 class TestRequeue:
-    """A transiently failed pair goes back to ``pending``; the node that
-    failed it leaves it to another eligible node."""
+    """A transiently failed pair goes back to ``pending``; its node
+    claims no pending pair until it answers again, while another node
+    of the batch does."""
 
-    def dispatch(self, tmp_path, urls):
-        _write_pairs(tmp_path / "batch", PAIRS[:1])
+    def dispatch(self, tmp_path, pairs=1, **coord):
+        _write_pairs(tmp_path / "batch", PAIRS[:pairs])
         registry = NodeRegistry()
-        for url in urls:
+        for url in ("127.0.0.1:1", "127.0.0.1:2"):
             registry.register(url)
         return ClusterDispatch(discover_pairs(str(tmp_path / "batch")),
                                FAST, registry, ResilientClient(),
-                               CoordConfig(min_nodes=1))
+                               CoordConfig(min_nodes=1, **coord))
 
-    def test_requeued_pair_leaves_the_node_that_failed_it(self, tmp_path):
-        dispatch = self.dispatch(tmp_path, ["127.0.0.1:1", "127.0.0.1:2"])
+    def claimed_and_failed(self, dispatch):
+        """Its owner claims the one pair and fails it; returns the pair,
+        the owner and the other node."""
         [task] = dispatch.tasks
         node_a = dispatch.owner[task.shard]
-        [node_b] = set(dispatch.owner.values()) - {node_a}
+        [node_b] = set(dispatch.nodes) - {node_a}
         assert dispatch._claim(node_a) is task
         dispatch._fail(node_a, task, "connection refused", permanent=False)
+        return task, node_a, node_b
+
+    def test_requeued_pair_leaves_the_node_that_failed_it(self, tmp_path):
+        dispatch = self.dispatch(tmp_path)
+        task, node_a, node_b = self.claimed_and_failed(dispatch)
         assert task.state == "pending"
         assert dispatch.stats["requeues"] == 1
-        # Its own shard's pair, but B is eligible and has not failed it.
+        # Its own shard's pair, but B answers and A has not since.
         assert dispatch._claim(node_a) is None
         assert dispatch._claim(node_b) is task
         stats = dispatch.stats
@@ -607,14 +614,48 @@ class TestRequeue:
         assert (stats["steals"] + stats["reassigned"]
                 + stats["duplicates"]) <= stats["executions"]
 
+    def test_a_failed_node_claims_again_once_it_answers(self, tmp_path):
+        dispatch = self.dispatch(tmp_path)
+        task, node_a, _node_b = self.claimed_and_failed(dispatch)
+        assert dispatch._claim(node_a) is None
+        dispatch.registry.heartbeat_ok(node_a)
+        assert dispatch._claim(node_a) is task
+
     def test_a_lone_node_takes_its_failed_pair_back(self, tmp_path):
-        dispatch = self.dispatch(tmp_path, ["127.0.0.1:1"])
+        _write_pairs(tmp_path / "batch", PAIRS[:1])
+        registry = NodeRegistry()
+        node = registry.register("127.0.0.1:1").url
+        dispatch = ClusterDispatch(discover_pairs(str(tmp_path / "batch")),
+                                   FAST, registry, ResilientClient(),
+                                   CoordConfig(min_nodes=1))
         [task] = dispatch.tasks
-        node = dispatch.owner[task.shard]
         assert dispatch._claim(node) is task
         dispatch._fail(node, task, "connection refused", permanent=False)
         assert dispatch._claim(node) is task
         assert dispatch.stats["executions"] == 2
+
+    def test_a_node_registered_mid_batch_holds_back_no_pair(self, tmp_path):
+        dispatch = self.dispatch(tmp_path)
+        task, node_a, node_b = self.claimed_and_failed(dispatch)
+        assert dispatch._claim(node_b) is task
+        dispatch._fail(node_b, task, "connection refused", permanent=False)
+        # Live, but with no claim loop in this batch: waiting for it
+        # would leave the pair pending for good.
+        dispatch.registry.register("127.0.0.1:3")
+        assert dispatch._claim(node_a) is task
+
+    def test_a_failed_node_hedges_nothing_while_a_pair_is_pending(
+            self, tmp_path):
+        dispatch = self.dispatch(tmp_path, pairs=2, steal_after=0.0)
+        node_a, node_b = dispatch.nodes
+        held = dispatch._claim(node_b)
+        lost = dispatch._claim(node_a)
+        assert {held.name, lost.name} == {"alpha", "beta"}
+        dispatch._fail(node_a, lost, "connection refused", permanent=False)
+        # B's pair is past steal_after, but a pair is still pending.
+        assert dispatch._claim(node_a) is None
+        assert dispatch.stats["duplicates"] == 0
+        assert dispatch._claim(node_b) is lost
 
 
 # -- the coordinator HTTP surface -------------------------------------------

@@ -21,7 +21,7 @@ from repro.engine import (
     select_result,
 )
 from repro.engine.executor import JobTimeoutError
-from repro.engine.jobs import run_job
+from repro.engine.jobs import REFUTE_BACKEND, run_job
 from repro.errors import AnalysisError
 
 OLD = """
@@ -62,6 +62,17 @@ class TestJobModel:
         assert make_job().key != make_job(old_source=NEW).key
         assert make_job().key != make_job(kind="refute", candidate=5.0).key
 
+    def test_a_refute_job_is_keyed_under_the_exact_backend(self):
+        # Refutation is exact whatever lp_backend says, so the backend
+        # neither splits the key nor misreports the arithmetic.
+        jobs = [make_job(kind="refute", candidate=5.0,
+                         config=AnalysisConfig(lp_backend=backend))
+                for backend in ("scipy", "exact", "exact-warm")]
+        assert len({job.key for job in jobs}) == 1
+        assert {job.config.lp_backend for job in jobs} == {REFUTE_BACKEND}
+        assert make_job(config=AnalysisConfig(lp_backend="exact")).key != (
+            make_job(config=AnalysisConfig(lp_backend="scipy")).key)
+
     def test_kind_validation(self):
         with pytest.raises(AnalysisError):
             AnalysisJob(kind="frobnicate", old_source=OLD, new_source=NEW)
@@ -95,9 +106,9 @@ class TestJobModel:
 
     @pytest.mark.parametrize("kind, extra", [
         ("diff", {}), ("bound", {"bound": "100"}),
-        ("refute", {"candidate": 98.0}), ("single", {"new_source": None}),
-    ], ids=["diff", "bound", "refute", "single"])
-    def test_every_kind_reports_the_same_stages(self, kind, extra):
+        ("single", {"new_source": None}),
+    ], ids=["diff", "bound", "single"])
+    def test_other_kinds_report_the_refute_stages(self, kind, extra):
         old, new = pair_sources("ex2")
         job = AnalysisJob(**{"kind": kind, "old_source": old,
                              "new_source": new, "name": "ex2", **extra})
