@@ -18,53 +18,44 @@ Quick start::
     print(result.threshold_display)
 """
 
-from repro.config import AnalysisConfig
-from repro.errors import ReproError
-from repro.lang import load_program, parse_program
-from repro.core import (
-    AnalysisStatus,
-    BoundProofResult,
-    CertificateChecker,
-    DiffCostAnalyzer,
-    DiffCostResult,
-    PotentialFunction,
-    RefutationResult,
-    SingleProgramResult,
-    analyze_diffcost,
-    analyze_single_program,
-    naive_diffcost,
-    prove_symbolic_bound,
-    refute_threshold,
-    find_difference_witness,
-)
-from repro.poly import Polynomial, parse_polynomial
-from repro.ts import CostSearch, Interpreter, TransitionSystem
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "ReproError",
-    "load_program",
-    "parse_program",
-    "AnalysisStatus",
-    "DiffCostAnalyzer",
-    "DiffCostResult",
-    "BoundProofResult",
-    "RefutationResult",
-    "SingleProgramResult",
-    "PotentialFunction",
-    "CertificateChecker",
-    "analyze_diffcost",
-    "analyze_single_program",
-    "naive_diffcost",
-    "prove_symbolic_bound",
-    "refute_threshold",
-    "find_difference_witness",
-    "Polynomial",
-    "parse_polynomial",
-    "TransitionSystem",
-    "Interpreter",
-    "CostSearch",
-    "__version__",
-]
+#: Public name -> the module it is read from.  Nothing beyond this file
+#: loads until a name is first used, so a process that only keys jobs
+#: or replays cached results never imports the analysis or its solvers.
+_EXPORTS = {
+    "AnalysisConfig": "repro.config",
+    "ReproError": "repro.errors",
+    "load_program": "repro.lang",
+    "parse_program": "repro.lang",
+    "AnalysisStatus": "repro.core",
+    "DiffCostAnalyzer": "repro.core",
+    "DiffCostResult": "repro.core",
+    "BoundProofResult": "repro.core",
+    "RefutationResult": "repro.core",
+    "SingleProgramResult": "repro.core",
+    "PotentialFunction": "repro.core",
+    "CertificateChecker": "repro.core",
+    "analyze_diffcost": "repro.core",
+    "analyze_single_program": "repro.core",
+    "naive_diffcost": "repro.core",
+    "prove_symbolic_bound": "repro.core",
+    "refute_threshold": "repro.core",
+    "find_difference_witness": "repro.core",
+    "Polynomial": "repro.poly",
+    "parse_polynomial": "repro.poly",
+    "TransitionSystem": "repro.ts",
+    "Interpreter": "repro.ts",
+    "CostSearch": "repro.ts",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

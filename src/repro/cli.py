@@ -38,17 +38,8 @@ import signal
 import sys
 
 from repro.config import AnalysisConfig, EngineConfig, ObsConfig, ServeConfig
-from repro.core import (
-    analyze_diffcost,
-    analyze_single_program,
-    prove_symbolic_bound,
-    refute_threshold,
-)
 from repro.errors import AnalysisError, ReproError
-from repro.lang import load_program
 from repro.lp.backend import available_backends
-from repro.poly import parse_polynomial
-from repro.ts.pretty import render_dot, render_text
 
 
 def _add_shape_arguments(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +79,8 @@ def _activate_obs(args: argparse.Namespace) -> None:
 
 
 def _load(path: str, name: str | None = None):
+    from repro.lang import load_program
+
     with open(path) as handle:
         return load_program(handle.read(), name=name)
 
@@ -121,6 +114,8 @@ def _sigterm_as_interrupt():
 
 
 def _command_diff(args: argparse.Namespace) -> int:
+    from repro.core import analyze_diffcost
+
     old = _load(args.old, "old")
     new = _load(args.new, "new")
     result = analyze_diffcost(old, new, _config(args))
@@ -132,6 +127,9 @@ def _command_diff(args: argparse.Namespace) -> int:
 
 
 def _command_bound(args: argparse.Namespace) -> int:
+    from repro.core import prove_symbolic_bound
+    from repro.poly import parse_polynomial
+
     old = _load(args.old, "old")
     new = _load(args.new, "new")
     bound = parse_polynomial(args.bound)
@@ -144,6 +142,8 @@ def _command_bound(args: argparse.Namespace) -> int:
 
 
 def _command_refute(args: argparse.Namespace) -> int:
+    from repro.core import refute_threshold
+
     old = _load(args.old, "old")
     new = _load(args.new, "new")
     # Refutation always solves exactly: it has no backend to choose.
@@ -155,6 +155,8 @@ def _command_refute(args: argparse.Namespace) -> int:
 
 
 def _command_single(args: argparse.Namespace) -> int:
+    from repro.core import analyze_single_program
+
     program = _load(args.program)
     result = analyze_single_program(program, _config(args))
     print(result)
@@ -523,7 +525,7 @@ def _command_witness(args: argparse.Namespace) -> int:
 def _command_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.lint import (
+    from repro.lint.engine import (
         lint_paths,
         load_baseline,
         render_json,
@@ -557,6 +559,8 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_show(args: argparse.Namespace) -> int:
+    from repro.ts.pretty import render_dot, render_text
+
     program = _load(args.program)
     if args.dot:
         print(render_dot(program.system))

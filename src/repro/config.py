@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
+from repro.lp.backend import available_backends
 
 
 @dataclass
@@ -54,10 +55,6 @@ class AnalysisConfig:
             raise AnalysisError("degree must be nonnegative")
         if self.max_products < 1:
             raise AnalysisError("max_products (K) must be at least 1")
-        # Local import: repro.lp pulls in the polynomial layer, which
-        # must not become an import-time dependency of plain configs.
-        from repro.lp.backend import available_backends
-
         if self.lp_backend not in available_backends():
             raise AnalysisError(
                 f"unknown lp_backend {self.lp_backend!r} "

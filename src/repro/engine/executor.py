@@ -35,7 +35,7 @@ import weakref
 from dataclasses import dataclass
 
 from repro.engine.cache import ResultCache
-from repro.engine.jobs import AnalysisJob, JobResult, run_job
+from repro.engine.jobs import AnalysisJob, JobResult, load_analysis, run_job
 from repro.engine.scheduler import EscalationScheduler, Task, WorkerPool
 from repro.errors import AnalysisError
 from repro.faults import InjectedFaultError, active_plan, fault_point
@@ -122,19 +122,23 @@ def _job_fault(site: str, job: AnalysisJob, attempt: int):
 def execute_job(job: AnalysisJob, timeout: float | None = None,
                 attempt: int = 0) -> JobResult:
     """Run one job with structured failure capture and an optional
-    wall-clock budget (seconds).  Never raises.
+    wall-clock budget (seconds).  Never raises, unless the analysis
+    modules themselves fail to import.
 
     ``attempt`` is the retry ordinal: retries sleep their exponential
     backoff here — before the budget timer arms, so backoff never eats
     the job's own budget — and fault-injection sites see the attempt
     number (a rule with ``max_attempts=1`` faults the first run and
-    lets the retry through).
+    lets the retry through).  The analysis is imported
+    (:func:`~repro.engine.jobs.load_analysis`) before the clock starts
+    too, so neither the budget nor ``seconds`` counts the import.
     """
     if attempt:
         time.sleep(retry_backoff(attempt))
     delay = _job_fault("job.delay", job, attempt)
     if delay is not None:
         time.sleep(delay.seconds)
+    load_analysis()
     start = time.perf_counter()
     try:
         error = _job_fault("job.error", job, attempt)

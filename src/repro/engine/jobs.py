@@ -16,6 +16,7 @@ display ``name``) are excluded from the key.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -24,7 +25,7 @@ from typing import Any
 
 from repro.config import AnalysisConfig
 from repro.errors import AnalysisError
-from repro.lp.backend import LP_SOLVER_REVISION
+from repro.lp.backend import LP_SOLVER_REVISION, backend_modules
 
 #: Bump when the meaning of a job (or the result schema) changes, so
 #: stale cache entries are never replayed across incompatible versions.
@@ -238,6 +239,22 @@ def _config_summary(config: AnalysisConfig) -> dict[str, Any]:
         "max_products": config.max_products,
         "lp_backend": config.lp_backend,
     }
+
+
+def load_analysis() -> None:
+    """Import what :func:`run_job` analyses with: :mod:`repro.core` and
+    every LP backend's module, which bring numpy and scipy.
+
+    A process that only keys jobs or replays cached results never calls
+    this, so it never loads them.  The worker pool calls it before it
+    forks a worker, which then inherits the modules, and
+    :func:`~repro.engine.executor.execute_job` before a job's clock and
+    budget start.  A second call finds everything in ``sys.modules``.
+    """
+    import repro.core  # noqa: F401
+
+    for module in backend_modules():
+        importlib.import_module(module)
 
 
 def run_job(job: AnalysisJob) -> JobResult:

@@ -35,7 +35,7 @@ import weakref
 from collections import deque
 from multiprocessing.connection import wait as _wait_ready
 
-from repro.engine.jobs import AnalysisJob, JobResult
+from repro.engine.jobs import AnalysisJob, JobResult, load_analysis
 from repro.errors import AnalysisError
 from repro.obs import get_logger, get_registry, setup_from_env
 
@@ -414,6 +414,10 @@ class WorkerPool:
         if self._idle:
             return self._idle.pop()
         if len(self._workers) < self.capacity:
+            # Import the analysis here, not in each worker: workers
+            # share the modules copy-on-write, and no job's budget pays
+            # for the import.
+            load_analysis()
             worker = _Worker(self._context, self.heartbeat)
             self._workers.append(worker)
             self.spawned += 1

@@ -32,40 +32,3 @@ fork-safe worker code.  This package enforces them *before* the fact:
   float warm-start boundary: the HiGHS candidate basis in
   :mod:`repro.lp.certify`, the only float stage of the exact LP path.
 """
-
-from repro.lint.contracts import DEFAULT_CONTRACTS, Contracts
-from repro.lint.engine import (
-    Finding,
-    fingerprint,
-    lint_file,
-    lint_paths,
-    load_baseline,
-    render_json,
-    render_text,
-    unsuppressed,
-    write_baseline,
-)
-from repro.lint.sanitizer import (
-    ExactnessViolation,
-    exact_region,
-    float_stage,
-    sanitizer_enabled,
-)
-
-__all__ = [
-    "Contracts",
-    "DEFAULT_CONTRACTS",
-    "ExactnessViolation",
-    "Finding",
-    "exact_region",
-    "fingerprint",
-    "float_stage",
-    "lint_file",
-    "lint_paths",
-    "load_baseline",
-    "render_json",
-    "render_text",
-    "sanitizer_enabled",
-    "unsuppressed",
-    "write_baseline",
-]

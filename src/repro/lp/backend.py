@@ -13,11 +13,13 @@ backend is first instantiated.
 from __future__ import annotations
 
 import importlib
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import LPError
-from repro.lp.model import LPModel
-from repro.lp.solution import LPSolution
+
+if TYPE_CHECKING:
+    from repro.lp.model import LPModel
+    from repro.lp.solution import LPSolution
 
 #: Bump whenever any backend's algorithm changes in a way that can
 #: change its answers, pivot sequences or certificates.  The value is
@@ -52,6 +54,11 @@ _BACKENDS: dict[str, tuple[str, str, bool]] = {
 def available_backends() -> tuple[str, ...]:
     """Backend names, in table order."""
     return tuple(_BACKENDS)
+
+
+def backend_modules() -> tuple[str, ...]:
+    """Each backend's implementation module, in table order."""
+    return tuple(entry[0] for entry in _BACKENDS.values())
 
 
 def backend_is_exact(name: str) -> bool:

@@ -77,9 +77,11 @@ class ScipyBackend:
         # violated by HiGHS' default 1e-7 slack can shift the threshold
         # by thousands.  HiGHS occasionally fails outright at the
         # tightest setting, so a ladder relaxes until the solve
-        # succeeds; the exact certification pass (see
-        # ``repro.core.checker.certify_implications_exact``) is the
-        # final safety net.
+        # succeeds.  Nothing checks a threshold from this backend
+        # exactly: the exact backends' thresholds and every refutation
+        # (which always re-solves exactly) are exact, and this one's
+        # are not.  ROADMAP.md's proof-carrying-thresholds item plans
+        # the check.
         result = None
         for tolerance in (1e-10, 1e-9, 1e-8, None):
             options = {}

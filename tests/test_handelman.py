@@ -18,7 +18,10 @@ from repro.handelman import (
 )
 from repro.handelman import products as products_mod
 from repro.handelman.encode import EncodingStats
-from repro.lp import LPModel, LPStatus, RevisedSimplexBackend, ScipyBackend
+from repro.lp.model import LPModel
+from repro.lp.revised import RevisedSimplexBackend
+from repro.lp.scipy_backend import ScipyBackend
+from repro.lp.solution import LPStatus
 from repro.poly.linexpr import AffineExpr
 from repro.poly.monomial import monomials_up_to_degree
 from repro.poly.polynomial import Polynomial

@@ -22,7 +22,7 @@ from repro.handelman import ImplicationConstraint, encode_implication
 from repro.handelman import products as products_mod
 from repro.handelman.products import ProductTable
 from repro.lint.sanitizer import ExactnessViolation
-from repro.lp import LPModel
+from repro.lp.model import LPModel
 from repro.poly.linexpr import AffineExpr
 from repro.poly.monomial import Monomial, monomials_up_to_degree
 from repro.poly.polynomial import Polynomial

@@ -24,22 +24,20 @@ import pytest
 import repro
 import repro.lp.basis as basis_mod
 from repro.cli import main as cli_main
-from repro.lint import (
-    Contracts,
-    ExactnessViolation,
-    exact_region,
+from repro.lint import sanitizer
+from repro.lint.contracts import Contracts
+from repro.lint.engine import (
     fingerprint,
-    float_stage,
     lint_file,
     lint_paths,
     load_baseline,
+    module_key,
     render_json,
     render_text,
-    sanitizer,
     unsuppressed,
     write_baseline,
 )
-from repro.lint.engine import module_key
+from repro.lint.sanitizer import ExactnessViolation, exact_region, float_stage
 from repro.lp.backend import get_backend
 from repro.lp.model import LPModel
 from repro.poly.linexpr import AffineExpr

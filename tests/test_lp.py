@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 from dense_simplex import DenseSimplexBackend, dense_rows
 from repro.config import AnalysisConfig
 from repro.errors import AnalysisError, LPError
-from repro.lp import (
-    LPModel,
-    LPStatus,
-    RevisedSimplexBackend,
-    ScipyBackend,
-    WarmStartExactBackend,
-    available_backends,
-    backend_is_exact,
-    get_backend,
-)
+from repro.lp.backend import available_backends, backend_is_exact, get_backend
+from repro.lp.certify import WarmStartExactBackend
+from repro.lp.model import LPModel
+from repro.lp.revised import RevisedSimplexBackend
+from repro.lp.scipy_backend import ScipyBackend
+from repro.lp.solution import LPStatus
 from repro.lp.standard import standardize
 from repro.poly.linexpr import AffineExpr
 

@@ -14,22 +14,19 @@ import pytest
 
 from dense_simplex import DenseSimplexBackend
 import repro.lp.certify as certify
-from repro.lp import (
-    IncrementalLP,
-    LPModel,
-    LPStatus,
-    RevisedSimplexBackend,
-    ScipyBackend,
-    WarmStartExactBackend,
-)
-from repro.lp.dual import exact_dual_feasible, run_dual_simplex
+from repro.lp.certify import WarmStartExactBackend
+from repro.lp.dual import IncrementalLP, exact_dual_feasible, run_dual_simplex
+from repro.lp.model import LPModel
 from repro.lp.revised import (
     OPTIMAL,
     WARM_INFEASIBLE,
     WARM_READY,
     WARM_SINGULAR,
     RevisedSimplex,
+    RevisedSimplexBackend,
 )
+from repro.lp.scipy_backend import ScipyBackend
+from repro.lp.solution import LPStatus
 from repro.lp.standard import standardize
 from repro.poly.linexpr import AffineExpr
 

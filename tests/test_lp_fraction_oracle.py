@@ -16,8 +16,9 @@ import fraction_lp
 from repro.bench.perf import build_lp_model
 from repro.bench.suite import SUITE, get_pair, load_pair
 from repro.core import refute_threshold
-from repro.lp import IncrementalLP, RevisedSimplexBackend, WarmStartExactBackend
-from repro.lp.revised import RevisedSimplex
+from repro.lp.certify import WarmStartExactBackend
+from repro.lp.dual import IncrementalLP
+from repro.lp.revised import RevisedSimplex, RevisedSimplexBackend
 from repro.lp.standard import recover_values, standardize
 from repro.poly.linexpr import AffineExpr
 from test_lp_agreement import make_random_lp

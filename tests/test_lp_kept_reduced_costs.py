@@ -22,22 +22,18 @@ import pytest
 from repro.bench.suite import get_pair, load_pair
 from repro.core import DiffCostAnalyzer, refute_threshold
 from repro.errors import LPError
-from repro.lp import (
-    IncrementalLP,
-    LPModel,
-    LPStatus,
-    RevisedSimplexBackend,
-    WarmStartExactBackend,
-    certify,
-    dual,
-    revised,
-)
+from repro.lp import certify, dual, revised
+from repro.lp.certify import WarmStartExactBackend
+from repro.lp.dual import IncrementalLP
+from repro.lp.model import LPModel
 from repro.lp.revised import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     RevisedSimplex,
+    RevisedSimplexBackend,
 )
+from repro.lp.solution import LPStatus
 from repro.lp.standard import standardize
 from repro.poly.linexpr import AffineExpr
 from test_lp_agreement import beale_cycling_lp

@@ -24,13 +24,11 @@ import pytest
 
 from dense_simplex import DenseSimplexBackend
 from repro.errors import LPError
-from repro.lp import (
-    IncrementalLP,
-    LPModel,
-    LPStatus,
-    RevisedSimplexBackend,
-    WarmStartExactBackend,
-)
+from repro.lp.certify import WarmStartExactBackend
+from repro.lp.dual import IncrementalLP
+from repro.lp.model import LPModel
+from repro.lp.revised import RevisedSimplexBackend
+from repro.lp.solution import LPStatus
 from repro.poly.linexpr import AffineExpr
 
 SEED = 20260731

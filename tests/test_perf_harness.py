@@ -71,7 +71,7 @@ class TestRunLpPerf:
 
     def test_defaults_are_valid(self):
         from repro.bench.suite import SUITE
-        from repro.lp import available_backends
+        from repro.lp.backend import available_backends
 
         suite_names = {pair.name for pair in SUITE}
         assert set(DEFAULT_PERF_PAIRS) <= suite_names
