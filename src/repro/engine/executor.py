@@ -123,15 +123,14 @@ def execute_job(job: AnalysisJob, timeout: float | None = None,
                 attempt: int = 0) -> JobResult:
     """Run one job with structured failure capture and an optional
     wall-clock budget (seconds).  Never raises, unless the analysis
-    modules themselves fail to import.
+    fails to import.
 
     ``attempt`` is the retry ordinal: retries sleep their exponential
     backoff here — before the budget timer arms, so backoff never eats
     the job's own budget — and fault-injection sites see the attempt
     number (a rule with ``max_attempts=1`` faults the first run and
-    lets the retry through).  The analysis is imported
-    (:func:`~repro.engine.jobs.load_analysis`) before the clock starts
-    too, so neither the budget nor ``seconds`` counts the import.
+    lets the retry through).  The analysis is imported before the
+    clock starts too, so neither the budget nor ``seconds`` counts it.
     """
     if attempt:
         time.sleep(retry_backoff(attempt))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -241,6 +242,10 @@ def _config_summary(config: AnalysisConfig) -> dict[str, Any]:
     }
 
 
+#: What :func:`load_analysis` imports.
+_ANALYSIS_MODULES = ("repro.core", *backend_modules())
+
+
 def load_analysis() -> None:
     """Import what :func:`run_job` analyses with: :mod:`repro.core` and
     every LP backend's module, which bring numpy and scipy.
@@ -249,12 +254,16 @@ def load_analysis() -> None:
     this, so it never loads them.  The worker pool calls it before it
     forks a worker, which then inherits the modules, and
     :func:`~repro.engine.executor.execute_job` before a job's clock and
-    budget start.  A second call finds everything in ``sys.modules``.
+    budget start.  A second call finds everything in ``sys.modules``,
+    or waits out the import another thread has under way.
     """
-    import repro.core  # noqa: F401
-
-    for module in backend_modules():
+    for module in _ANALYSIS_MODULES:
         importlib.import_module(module)
+
+
+def analysis_loaded() -> bool:
+    """Whether :func:`load_analysis` has run here, or is running."""
+    return all(name in sys.modules for name in _ANALYSIS_MODULES)
 
 
 def run_job(job: AnalysisJob) -> JobResult:

@@ -30,12 +30,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
+import threading
 import time
 import weakref
 from collections import deque
 from multiprocessing.connection import wait as _wait_ready
 
-from repro.engine.jobs import AnalysisJob, JobResult, load_analysis
+from repro.engine.jobs import (AnalysisJob, JobResult, analysis_loaded,
+                               load_analysis)
 from repro.errors import AnalysisError
 from repro.obs import get_logger, get_registry, setup_from_env
 
@@ -238,6 +240,16 @@ class _Worker:
         self.last_beat = time.monotonic()
 
 
+def _import_analysis(done) -> None:
+    """Helper-thread body: import the analysis, then close ``done``."""
+    try:
+        load_analysis()
+    except Exception:
+        pass  # the pool's own load_analysis() raises it again
+    finally:
+        done.close()
+
+
 def _terminate_workers(workers: list) -> None:
     """Finalizer: reclaim worker processes of an abandoned pool."""
     for worker in list(workers):
@@ -322,6 +334,9 @@ class WorkerPool:
         self.quarantined = 0
         self._crash_streak = 0
         self._peak = 0
+        #: ``(ready, thread)`` of the analysis import a helper thread
+        #: runs while tasks wait for the first worker.
+        self._import: tuple | None = None
         self.closed = False
         self._finalizer = weakref.finalize(
             self, _terminate_workers, self._workers
@@ -369,10 +384,11 @@ class WorkerPool:
                 return failed
             try:
                 worker = self._acquire_worker()
-            except OSError as error:
-                # Descriptors or processes ran out.  The attempt fails
-                # as if its worker had died, instead of vanishing with
-                # the exception: the retry hook sees a transient failure.
+            except (OSError, ImportError) as error:
+                # Descriptors or processes ran out (transient: the retry
+                # hook may run it again), or the analysis would not
+                # import.  The attempt fails as if its worker had died,
+                # instead of vanishing with the exception.
                 _LOG.error("could not start a worker for %s: %s",
                            task.job.name or "a job", error)
                 if self._finish(task, _error(task, type(error).__name__,
@@ -414,10 +430,8 @@ class WorkerPool:
         if self._idle:
             return self._idle.pop()
         if len(self._workers) < self.capacity:
-            # Import the analysis here, not in each worker: workers
-            # share the modules copy-on-write, and no job's budget pays
-            # for the import.
-            load_analysis()
+            if not self._analysis_imported():
+                return None
             worker = _Worker(self._context, self.heartbeat)
             self._workers.append(worker)
             self.spawned += 1
@@ -440,6 +454,33 @@ class WorkerPool:
             return worker
         return None
 
+    def _analysis_imported(self) -> bool:
+        """Whether a worker may fork: the analysis is imported first, so
+        workers share it copy-on-write and no job's budget pays for it.
+
+        The import runs on a helper thread while tasks stay queued, and
+        :meth:`wait` dispatches them once it ends.  So the thread that
+        drives the pool goes on answering cache hits meanwhile, for the
+        second or so a fresh ``serve``'s first miss spends here.
+        """
+        if self._import is None and not analysis_loaded():
+            ready, done = multiprocessing.Pipe(duplex=False)
+            thread = threading.Thread(target=_import_analysis, args=(done,),
+                                      daemon=True)
+            thread.start()
+            self._import = (ready, thread)
+        if self._import is not None:
+            ready, thread = self._import
+            if not ready.poll():
+                return False
+            thread.join()
+            ready.close()
+            self._import = None
+        # At once; or it raises the import's error, or it waits out an
+        # import another thread has under way: no fork copies half of one.
+        load_analysis()
+        return True
+
     # -- completion --------------------------------------------------------
 
     def wait(self, wake=None) -> list[Task]:
@@ -447,7 +488,8 @@ class WorkerPool:
 
         ``wake`` is anything :func:`multiprocessing.connection.wait`
         accepts, such as a socket; reading it is the caller's job.  With
-        no task running the wait is on ``wake`` alone, and without one
+        no task running the wait is on ``wake`` alone (and on the
+        analysis import, while tasks wait for it), and without either
         there is nothing to wait for, so it returns at once.
 
         Returns the newly completed tasks: empty when ``wake`` ended the
@@ -463,18 +505,20 @@ class WorkerPool:
         while not completed:
             busy = {worker.conn: worker for worker in self._workers
                     if worker.task is not None}
-            if not busy and wake is None:
+            waitables = [*busy, *([] if wake is None else [wake])]
+            if self._import is not None and self._queue:
+                waitables.append(self._import[0])
+            if not waitables:
                 return []
             # With hang detection on, wake at least once per heartbeat
             # period so a silent pipe is noticed within one hang window.
             tick = (max(self.heartbeat, 0.02)
                     if busy and self.hang_timeout is not None else None)
-            waitables = list(busy) if wake is None else [*busy, wake]
             ready = _wait_ready(waitables, tick)
             for conn in ready:
                 worker = busy.get(conn)
                 if worker is None:
-                    continue  # ``wake``
+                    continue  # ``wake``, or the import ended
                 task = worker.task
                 if self._receive(worker) and task is not None:
                     completed.append(task)

@@ -399,13 +399,11 @@ class IncrementalLP:
         return costs
 
     def _cold_solve(self, costs: list[Fraction]) -> LPSolution:
-        from repro.lp.certify import solve_form_exact
-
         self.form.costs = costs
         self.stats["cold_solves"] += 1
         self._counted = {}
         ladder_stats: dict = {}
-        solver, status = solve_form_exact(
+        solver, status = certify.solve_form_exact(
             self.form, ladder_stats,
             max_iterations=self.max_iterations,
             bland_trigger=self.bland_trigger,
@@ -485,10 +483,8 @@ class IncrementalLP:
         A rejected nomination (singular, or primal infeasible) leaves
         the solver back at the primal feasible anchor.
         """
-        from repro.lp.certify import scipy_candidate_basis
-
         ladder_stats: dict = {}
-        basis = scipy_candidate_basis(self.form, ladder_stats)
+        basis = certify.scipy_candidate_basis(self.form, ladder_stats)
         self._fold_float_stage(ladder_stats)
         if basis is None:
             return "none"
@@ -549,3 +545,9 @@ class IncrementalLP:
                                     self.solver.assignment(), stats)
         self.stats["time_recover"] += stats["time_recover"]
         return solution
+
+
+# Last, as certify imports this module.  Loading it (and numpy and scipy)
+# here keeps their module code out of this module's exact regions, where
+# ``REPRO_SANITIZE=1`` traps ``float``.
+from repro.lp import certify  # noqa: E402

@@ -7,15 +7,23 @@ process has already imported cannot mask a load.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import main as cli_main
+from repro.config import AnalysisConfig
+from repro.engine.cache import ResultCache
+from repro.engine.jobs import JobResult
+from repro.serve.server import job_from_payload
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,12 +59,12 @@ def loaded(modules):
 """
 
 
-def run_fresh(script: str) -> dict:
-    """Run ``script`` in a fresh interpreter; returns the JSON object it
-    prints last."""
+def run_fresh(script: str, **env: str) -> dict:
+    """Run ``script`` in a fresh interpreter, with ``env`` added to its
+    environment; returns the JSON object it prints last."""
     result = subprocess.run(
         [sys.executable, "-c", _PRELUDE + textwrap.dedent(script)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -147,22 +155,45 @@ def test_all_hit_batch_replay_loads_no_solver(tmp_path, capsys):
 
 def test_pool_loads_the_solvers_before_its_first_fork():
     out = run_fresh(f"""
+        from repro.engine import scheduler
         from repro.engine.jobs import AnalysisJob
-        from repro.engine.scheduler import WorkerPool
-        pool = WorkerPool(1)
+        forks = []
+        worker = scheduler._Worker
+
+        def spy(*args):
+            forks.append(loaded({SOLVERS!r}))
+            return worker(*args)
+
+        scheduler._Worker = spy
+        pool = scheduler.WorkerPool(1)
         before = loaded({SOLVERS!r})
         task = pool.submit(AnalysisJob(kind="diff", old_source=OLD,
                                        new_source=NEW))
-        forked = loaded({SOLVERS!r})
         while task.result is None:
             pool.wait()
         pool.shutdown()
-        print(json.dumps({{"before": before, "forked": forked,
-                          "spawned": pool.spawned,
+        print(json.dumps({{"before": before, "forks": forks,
                           "outcome": task.result.outcome}}))
     """)
-    assert out == {"before": [], "forked": list(SOLVERS), "spawned": 1,
+    assert out == {"before": [], "forks": [list(SOLVERS)],
                    "outcome": "threshold"}
+
+
+def test_pool_fails_a_task_whose_analysis_will_not_import():
+    out = run_fresh("""
+        sys.modules["scipy.optimize._highspy"] = None  # certify won't load
+        from repro.engine.jobs import AnalysisJob
+        from repro.engine.scheduler import WorkerPool
+        pool = WorkerPool(1)
+        task = pool.submit(AnalysisJob(kind="diff", old_source=OLD,
+                                       new_source=NEW))
+        while task.result is None:
+            pool.wait()
+        pool.shutdown()
+        print(json.dumps([task.result.status, task.result.error_type,
+                          pool.spawned]))
+    """)
+    assert out == ["error", "ModuleNotFoundError", 0]
 
 
 def test_execute_job_loads_the_solvers_before_the_budget_starts():
@@ -185,3 +216,85 @@ def test_execute_job_loads_the_solvers_before_the_budget_starts():
                           "status": result.status}}))
     """)
     assert out == {"before": [], "armed": [list(SOLVERS)], "status": "ok"}
+
+
+@pytest.mark.parametrize("statements, status", [
+    ("""
+    from repro.core import refute_threshold
+    from repro.lang import load_program
+    status = refute_threshold(load_program(OLD), load_program(NEW), 9).status
+    """, "refuted"),
+    ("""
+    from repro.config import AnalysisConfig
+    from repro.core import analyze_diffcost
+    from repro.lang import load_program
+    status = analyze_diffcost(load_program(OLD), load_program(NEW),
+                              AnalysisConfig(lp_backend="exact-warm")).status
+    """, "threshold"),
+], ids=["refute", "exact-warm-diff"])
+def test_sanitized_exact_solve_in_a_fresh_interpreter(statements, status):
+    """``REPRO_SANITIZE=1`` traps ``float`` inside exact regions, so
+    numpy and scipy must be loaded before the first one is entered: their
+    module code would read the trap."""
+    out = run_fresh(textwrap.dedent(statements) + """
+from repro.lint.sanitizer import sanitizer_enabled
+print(json.dumps([sanitizer_enabled(), status.value]))
+""", REPRO_SANITIZE="1")
+    assert out == [True, status]
+
+
+def _post(port: int, payload: dict) -> dict:
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/analyze", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return json.loads(response.read())
+
+
+def test_a_fresh_server_answers_hits_while_its_first_miss_imports(tmp_path):
+    """A fresh ``serve`` imports the analysis at its first miss, which
+    takes about a second; the cache hits that arrive meanwhile must not
+    wait for it."""
+    hit = {"kind": "diff", "old_source": OLD, "new_source": new_source(2)}
+    miss = dict(hit, new_source=new_source(3))
+    job = job_from_payload(hit, AnalysisConfig())
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(job, JobResult(job_key=job.key, name="p", kind="diff",
+                             status="ok", outcome="threshold",
+                             threshold=10.0, threshold_str="10"))
+    cache.close()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--cache-dir", str(tmp_path / "cache")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        # "serving on http://HOST:PORT (1 worker(s))"
+        port = int(server.stdout.readline().rsplit(":", 1)[1].split()[0])
+        assert _post(port, hit)["result"]["cached"]
+        answered = threading.Event()
+        outcome: dict = {}
+
+        def run_miss():
+            start = time.perf_counter()
+            try:
+                outcome["body"] = _post(port, miss)
+            finally:
+                outcome["seconds"] = time.perf_counter() - start
+                answered.set()
+
+        thread = threading.Thread(target=run_miss)
+        thread.start()
+        seconds = []
+        while not answered.is_set():
+            start = time.perf_counter()
+            assert _post(port, hit)["result"]["cached"]
+            seconds.append(time.perf_counter() - start)
+        thread.join()
+    finally:
+        server.send_signal(signal.SIGINT)
+        server.wait(timeout=30)
+    result = outcome["body"]["result"]
+    assert result["status"] == "ok" and not result["cached"]
+    # Waiting for the import, a hit would take most of the miss's time.
+    assert max(seconds) < outcome["seconds"] / 3, (max(seconds), outcome)
